@@ -210,35 +210,55 @@ _ARG_NAMES = tuple(t.name for t in TERMINAL_ORDER)
 def compile_expression(expr: Expression) -> Callable[..., float]:
     """Compile a tree into a plain Python function of 13 positional floats.
 
-    Argument order is TERMINAL_ORDER.  Semantics are identical to
-    ``evaluate``; a property test pins the equivalence.  The simulator
-    calls the compiled form millions of times, hence the code generation.
+    Argument order is TERMINAL_ORDER.  The body is one expression of
+    arithmetic and inline conditionals, with walrus temporaries for values
+    read twice; it calls no function.  ``min(a, b)`` is emitted as
+    ``b if a > b else a`` and ``max(a, b)`` as ``b if a < b else a``, the
+    builtins' own comparisons, and the +/-1e300 saturation of ``*`` and
+    ``/`` compares against the bounds only.  Results are therefore
+    bit-identical to ``evaluate``, NaN, infinities, the sign of zero and
+    the left operand on ties included; tests pin the equivalence.  The
+    simulator calls the compiled form millions of times, hence the code
+    generation.
     """
-    temp_ids = itertools.count()
+    temps = (f"_t{i}" for i in itertools.count())
+
+    def operand(node: Expression) -> tuple[str, str]:
+        """(code that computes the value, a name to read it again)."""
+        code = emit(node)
+        if node.fn is None:
+            return code, code
+        t = next(temps)
+        return f"({t} := {code})", t
+
+    def clamp(value: str) -> str:
+        t = next(temps)
+        return f"(-1e300 if ({t} := {value}) < -1e300 else 1e300 if {t} > 1e300 else {t})"
 
     def emit(node: Expression) -> str:
         if node.fn is None:
             return node.terminal.name
-        l = emit(node.left)
-        r = emit(node.right)
         fn = node.fn
+        if fn is Function.MIN or fn is Function.MAX:
+            l, l_again = operand(node.left)
+            r, r_again = operand(node.right)
+            op = ">" if fn is Function.MIN else "<"
+            return f"({r_again} if {l} {op} {r} else {l_again})"
+        l = emit(node.left)
+        if fn is Function.DIV:
+            r, r_again = operand(node.right)
+            return f"(1.0 if {r} == 0.0 else {clamp(f'{l} / {r_again}')})"
+        r = emit(node.right)
         if fn is Function.ADD:
             return f"({l} + {r})"
         if fn is Function.SUB:
             return f"({l} - {r})"
-        if fn is Function.MUL:
-            return f"_mn(_mx(({l} * {r}), -1e300), 1e300)"
-        if fn is Function.DIV:
-            t = f"_d{next(temp_ids)}"
-            return f"(_mn(_mx(({l} / {t}), -1e300), 1e300) if ({t} := {r}) != 0.0 else 1.0)"
-        if fn is Function.MIN:
-            return f"_mn({l}, {r})"
-        return f"_mx({l}, {r})"
+        return clamp(f"{l} * {r}")
 
     body = emit(expr)
-    src = f"def _rule({', '.join(_ARG_NAMES)}, _mn=min, _mx=max):\n    return {body}\n"
+    src = f"def _rule({', '.join(_ARG_NAMES)}):\n    return {body}\n"
     namespace: dict = {}
-    exec(compile(src, "<rule>", "exec"), {"min": min, "max": max}, namespace)
+    exec(compile(src, "<rule>", "exec"), {}, namespace)
     return namespace["_rule"]
 
 

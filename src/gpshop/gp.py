@@ -188,6 +188,9 @@ class FitnessEvaluator:
     Caches generated instances (bounded) and the reference heuristic's
     objectives per seed (needed to normalize multi-objective fitness).
     Rules whose simulation trips the queue guard get DEGENERATE_FITNESS.
+    Within one evaluator, which serves one GP run, fitness is a pure
+    function of (pair, seed), so ``fitness`` memoises it, guard aborts
+    included; ``evaluations`` counts every call, memo hits included.
     """
 
     def __init__(self, config: SimConfig, scenario: Scenario, max_queue: int | None = None, cache_size: int = 8):
@@ -201,6 +204,7 @@ class FitnessEvaluator:
         self._instances: OrderedDict[int, Instance] = OrderedDict()
         self._cache_size = cache_size
         self._reference: dict[int, ObjectiveVector] = {}
+        self._fitness: dict[tuple[RulePair, int], float] = {}
 
     def instance(self, seed: int) -> Instance:
         cached = self._instances.get(seed)
@@ -224,12 +228,16 @@ class FitnessEvaluator:
 
     def fitness(self, pair: RulePair, seed: int) -> float:
         self.evaluations += 1
-        reference = self.reference_objectives(seed) if self.scenario.is_multi_objective else None
-        try:
-            objectives = self.objectives(pair, seed)
-        except QueueOverflow:
-            return DEGENERATE_FITNESS
-        return weighted_fitness(objectives, self.scenario, reference)
+        key = (pair, seed)
+        value = self._fitness.get(key)
+        if value is None:
+            reference = self.reference_objectives(seed) if self.scenario.is_multi_objective else None
+            try:
+                value = weighted_fitness(self.objectives(pair, seed), self.scenario, reference)
+            except QueueOverflow:
+                value = DEGENERATE_FITNESS
+            self._fitness[key] = value
+        return value
 
     def evaluate_population(self, population: list[Individual], seed: int) -> None:
         """Assign fitness to every individual on the given instance seed."""

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,7 +118,7 @@ def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
             k = int(rng.integers(1, m + 1))
             members = tuple(sorted(int(x) for x in rng.choice(m, size=k, replace=False)))
             proc_times = tuple(workload / rates[idx] for idx in members)
-            median = float(np.median(proc_times))
+            median = statistics.median(proc_times)
             operations.append(
                 Operation(
                     workload=workload,

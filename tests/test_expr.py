@@ -198,12 +198,38 @@ context_strategy = st.builds(
 )
 
 
+def same_float(a: float, b: float) -> bool:
+    """Bit-for-bit equality: the sign of zero counts, and NaN equals NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
 @settings(max_examples=200, deadline=None)
 @given(expr_strategy, context_strategy)
 def test_compiled_matches_interpreter(tree, ctx):
     a = evaluate(tree, ctx)
     b = compile_expression(tree)(*ctx.as_args())
-    assert a == b or (math.isnan(a) and math.isnan(b))
+    assert same_float(a, b), (format_expr(tree), a, b)
+
+
+EDGE_VALUES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300, 5e-324, 1.0)
+
+
+@pytest.mark.parametrize("fn", list(Function), ids=lambda f: f.name)
+def test_compiled_matches_interpreter_on_edge_values(fn):
+    # Every (left, right) operand pair from the edge values, at the root of
+    # each operator: NaN propagation, infinities, signed zeros, the
+    # saturation bound and the smallest subnormal.
+    tree = Expression.call(fn, leaf("NIQ"), leaf("WIQ"))
+    rule = compile_expression(tree)
+    rest = [1.0] * 11
+    for a in EDGE_VALUES:
+        for b in EDGE_VALUES:
+            ctx = DecisionContext(a, b, *rest)
+            expected = evaluate(tree, ctx)
+            got = rule(*ctx.as_args())
+            assert same_float(got, expected), (fn, a, b, got, expected)
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gpshop import gp as gp_module
 from gpshop.errors import ConfigError
 from gpshop.expr import Expression, Function, Terminal, depth, parse, size
 from gpshop.gp import (
@@ -349,6 +350,45 @@ class TestFitnessEvaluator:
             max_queue=30,
         )
         assert ev.fitness(RulePair.from_text("W - W", "PT"), seed=1) == DEGENERATE_FITNESS
+
+    @staticmethod
+    def spy_on_simulations(monkeypatch) -> list[int]:
+        """Record the instance seed of every simulation the evaluator runs."""
+        seeds: list[int] = []
+
+        def spy(pair, instance, **kwargs):
+            seeds.append(instance.seed)
+            return run_simulation(pair, instance, **kwargs)
+
+        monkeypatch.setattr(gp_module, "run_simulation", spy)
+        return seeds
+
+    def test_repeated_fitness_is_memoised(self, monkeypatch):
+        simulated = self.spy_on_simulations(monkeypatch)
+        ev = FitnessEvaluator(SMALL_CONFIG, SMALL_SCENARIO)
+        pair = RulePair.from_text("(WIQ + PT) + TRANT", "PT")
+        first = ev.fitness(pair, seed=1)
+        again = ev.fitness(RulePair.from_text("(WIQ + PT) + TRANT", "PT"), seed=1)
+        assert again is first
+        assert simulated == [1]
+        assert ev.evaluations == 2
+        # The same pair on another seed is a different evaluation.
+        ev.fitness(pair, seed=2)
+        assert simulated == [1, 2]
+        assert ev.evaluations == 3
+
+    def test_guard_aborts_are_memoised(self, monkeypatch):
+        simulated = self.spy_on_simulations(monkeypatch)
+        ev = FitnessEvaluator(
+            SMALL_CONFIG.with_overrides(total_jobs=200, warmup_jobs=10),
+            SMALL_SCENARIO,
+            max_queue=30,
+        )
+        pair = RulePair.from_text("W - W", "PT")
+        assert ev.fitness(pair, seed=1) == DEGENERATE_FITNESS
+        assert ev.fitness(pair, seed=1) == DEGENERATE_FITNESS
+        assert simulated == [1]
+        assert ev.evaluations == 2
 
     def test_instance_cache_reuses_objects(self):
         ev = FitnessEvaluator(SMALL_CONFIG, SMALL_SCENARIO, cache_size=2)
