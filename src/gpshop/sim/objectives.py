@@ -83,9 +83,10 @@ def weighted_fitness(
     """Scenario fitness of an objective vector (lower is better).
 
     Single-objective scenarios use the raw value.  Multi-objective
-    scenarios form sum(lambda_j * f_j / f_j(reference)), normalizing each
+    scenarios form sum(lambda_j * (f_j / f_j(reference))), normalizing each
     term by the reference heuristic's value on the same instance, so a
-    reference vector is mandatory there.
+    reference vector is mandatory there.  The ratio is taken first, so a
+    vector normalized by itself scores exactly sum(lambdas).
     """
     if not scenario.is_multi_objective:
         return objectives.get(scenario.objectives[0])
@@ -96,7 +97,7 @@ def weighted_fitness(
         ref = reference.get(key)
         if ref == 0.0:
             raise ConfigError(f"reference value for {key} is zero; cannot normalize")
-        total += lam * objectives.get(key) / ref
+        total += lam * (objectives.get(key) / ref)
     return total
 
 

@@ -241,8 +241,13 @@ class TestObjectives:
         assert weighted_fitness(obj, scenario, ref) == pytest.approx(
             0.2 * 50.0 / 100.0 + 0.8 * 20.0 / 10.0
         )
-        # A vector normalized by itself scores exactly 1.
-        assert weighted_fitness(ref, scenario, ref) == pytest.approx(1.0)
+        # A vector normalized by itself scores exactly 1, also where
+        # lam * f / ref would round to 1.0000000000000002.
+        assert weighted_fitness(ref, scenario, ref) == 1.0
+        held_out = ObjectiveVector(
+            Tmax=0.0, Tmean=0.0, Fmean=548.3336478445025, WTmean=3124.385618678229, WFmean=0.0
+        )
+        assert weighted_fitness(held_out, scenario, held_out) == 1.0
 
     def test_weighted_fitness_requires_reference(self):
         scenario = Scenario(
