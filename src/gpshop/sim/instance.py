@@ -6,6 +6,8 @@ rates, transport distances and the full job stream.  Identical
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import os
 import statistics
@@ -75,13 +77,94 @@ def arrival_rate_for_utilization(config: SimConfig) -> float:
     return config.utilization * config.num_machines / (mean_ops * mean_proc)
 
 
-def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
-    """Sample a full instance from one numpy Generator stream.
+def _halves(raw):
+    """32-bit draws as numpy's PCG64 makes them: low, then high half."""
+    while True:
+        word = raw()
+        yield word & 0xFFFFFFFF
+        yield word >> 32
 
-    Draw order (fixed for reproducibility): machine rates, entry
-    distances, pairwise distances (upper triangle row by row), then per
-    job: inter-arrival gap, operation count, per operation (workload,
-    eligible-set size, eligible members), weight.
+
+def _integer_drawer(bit_generator):
+    """Return ``draw(r)``, a uniform integer on [0, r] for 0 <= r < 2**63.
+
+    ``draw`` consumes raw PCG64 words exactly as ``Generator.integers``
+    does, so it can be mixed with numpy's own 64-bit draws
+    (``exponential``, ``random``) as long as numpy has made no 32-bit
+    draw on the generator.  A range of 0 draws nothing.  A range below
+    2**32 is Lemire's method on 32-bit draws, each the low and then the
+    high half of one raw word; the unused high half waits for the next
+    32-bit draw, across any 64-bit draws in between, as numpy's buffer
+    does.  A wider range is Lemire's method on whole raw words.
+    """
+    raw = bit_generator.random_raw
+    half = _halves(raw).__next__
+
+    def draw(r: int) -> int:
+        if r == 0:
+            return 0
+        n = r + 1
+        if r > 0xFFFFFFFF:
+            prod = raw() * n
+            while prod & 0xFFFFFFFFFFFFFFFF < n and prod & 0xFFFFFFFFFFFFFFFF < (1 << 64) % n:
+                prod = raw() * n
+            return prod >> 64
+        prod = half() * n
+        while prod & 0xFFFFFFFF < n and prod & 0xFFFFFFFF < (1 << 32) % n:
+            prod = half() * n
+        return prod >> 32
+
+    return draw
+
+
+def _sample_machines(draw, m: int, k: int) -> tuple[int, ...]:
+    """Sorted k of range(m), as ``sorted(rng.choice(m, k, replace=False))``.
+
+    numpy picks the set with Floyd's algorithm (k draws on [0, j] for
+    j = m - k .. m - 1), then shuffles it (k - 1 draws on [0, i] for
+    i = k - 1 .. 1), whose outcome sorting discards.  Above 10,000
+    elements with k > m // 50 it instead shuffles the tail of range(m).
+    """
+    if m > 10000 and k > m // 50:
+        pool = list(range(m))
+        for i in range(m - 1, max(m - k, 1) - 1, -1):
+            j = draw(i)
+            pool[i], pool[j] = pool[j], pool[i]
+        return tuple(sorted(pool[m - k:]))
+    chosen = set()
+    for j in range(m - k, m):
+        v = draw(j)
+        chosen.add(j if v in chosen else v)
+    for i in range(k - 1, 0, -1):
+        draw(i)
+    return tuple(sorted(chosen))
+
+
+def _low_and_span(lo, hi) -> tuple[int, int]:
+    """Offset and range of ``integers(lo, hi + 1)``, which applies int() to both bounds."""
+    low = int(lo)
+    return low, int(hi + 1) - 1 - low
+
+
+def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
+    """Sample a full instance from one PCG64 stream seeded with ``seed``.
+
+    The stream is the one numpy's ``default_rng(seed)`` calls would
+    consume; integers are drawn in Python from its raw words (see
+    ``_integer_drawer``), the rest by numpy.  Draw order, fixed for
+    reproducibility:
+
+    1. ``uniform(*rate_range, size=m)``: one double per machine rate;
+    2. entry distances, then pairwise distances (upper triangle, row by
+       row), each ``integers(d_lo, d_hi + 1)``;
+    3. per job: the inter-arrival gap ``exponential(1 / lambda)``; the
+       operation count ``integers(ops_lo, ops_hi + 1)``; per operation
+       the workload ``integers(wl_lo, wl_hi + 1)``, the eligible-set
+       size ``integers(1, m + 1)`` and the eligible set
+       ``choice(m, size, replace=False)`` (see ``_sample_machines``);
+       then the weight, ``choice(weights, p=probs)``: one double
+       ``(raw >> 11) * 2**-53`` located with ``bisect_right`` in the
+       cumulative probabilities divided by their total.
     """
     if seed is None:
         seed = config.seed
@@ -90,33 +173,35 @@ def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
 
     rates = tuple(float(r) for r in rng.uniform(*config.rate_range, size=m))
 
-    d_lo, d_hi = config.distance_range
-    entry = tuple(float(d) for d in rng.integers(d_lo, d_hi + 1, size=m))
+    draw = _integer_drawer(rng.bit_generator)
+    d_lo, d_span = _low_and_span(*config.distance_range)
+    entry = tuple(float(d_lo + draw(d_span)) for _ in range(m))
     dist = [[0.0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            d = float(rng.integers(d_lo, d_hi + 1))
+            d = float(d_lo + draw(d_span))
             dist[i][j] = d
             dist[j][i] = d
     machine_distances = tuple(tuple(row) for row in dist)
 
-    lam = arrival_rate_for_utilization(config)
-    ops_lo, ops_hi = config.ops_per_job_range
-    wl_lo, wl_hi = config.workload_range
-    weights = np.array([w for w, _ in config.weight_mix])
-    probs = np.array([p for _, p in config.weight_mix])
+    scale = 1.0 / arrival_rate_for_utilization(config)
+    ops_lo, ops_span = _low_and_span(*config.ops_per_job_range)
+    wl_lo, wl_span = _low_and_span(*config.workload_range)
+    weights = [w for w, _ in config.weight_mix]
+    cdf = list(itertools.accumulate(float(p) for _, p in config.weight_mix))
+    cdf = [c / cdf[-1] for c in cdf]
+    raw = rng.bit_generator.random_raw
+    exponential = rng.exponential
 
     jobs = []
     clock = 0.0
     for job_id in range(1, config.total_jobs + 1):
-        clock += float(rng.exponential(1.0 / lam))
-        n_ops = int(rng.integers(ops_lo, ops_hi + 1))
+        clock += float(exponential(scale))
         operations = []
         total_median = 0.0
-        for _ in range(n_ops):
-            workload = float(rng.integers(wl_lo, wl_hi + 1))
-            k = int(rng.integers(1, m + 1))
-            members = tuple(sorted(int(x) for x in rng.choice(m, size=k, replace=False)))
+        for _ in range(ops_lo + draw(ops_span)):
+            workload = float(wl_lo + draw(wl_span))
+            members = _sample_machines(draw, m, 1 + draw(m - 1))
             proc_times = tuple(workload / rates[idx] for idx in members)
             median = statistics.median(proc_times)
             operations.append(
@@ -128,7 +213,7 @@ def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
                 )
             )
             total_median += median
-        weight = int(rng.choice(weights, p=probs))
+        weight = int(weights[bisect.bisect_right(cdf, (raw() >> 11) * 2.0**-53)])
         due = clock + config.due_date_factor * total_median
         jobs.append(
             Job(
