@@ -1,6 +1,7 @@
 """Shop configuration and experiment scenarios."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from ..errors import ConfigError
@@ -41,19 +42,20 @@ class SimConfig:
             raise ConfigError("warmup_jobs must satisfy 0 <= warmup < total_jobs")
         if not (0.0 < self.utilization < 1.0):
             raise ConfigError(f"utilization must lie in (0, 1), got {self.utilization}")
+        # Written as "lo < x < inf" so that NaN fails every test.
         for name in ("rate_range", "workload_range", "ops_per_job_range", "distance_range"):
             lo, hi = getattr(self, name)
-            if not (0 < lo <= hi):
-                raise ConfigError(f"{name} must satisfy 0 < lo <= hi, got {(lo, hi)}")
-        if self.transport_speed <= 0:
-            raise ConfigError("transport_speed must be positive")
-        if self.due_date_factor <= 0:
-            raise ConfigError("due_date_factor must be positive")
+            if not (0 < lo <= hi < math.inf):
+                raise ConfigError(f"{name} must satisfy 0 < lo <= hi < inf, got {(lo, hi)}")
+        if not (0 < self.transport_speed < math.inf):
+            raise ConfigError("transport_speed must be positive and finite")
+        if not (0 < self.due_date_factor < math.inf):
+            raise ConfigError("due_date_factor must be positive and finite")
+        if not all(0 < w < math.inf and 0 <= p < math.inf for w, p in self.weight_mix):
+            raise ConfigError("weights must be positive and probabilities non-negative, all finite")
         total = sum(p for _, p in self.weight_mix)
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"weight probabilities must sum to 1, got {total}")
-        if any(w <= 0 or p < 0 for w, p in self.weight_mix):
-            raise ConfigError("weights must be positive and probabilities non-negative")
 
     def with_overrides(self, **kwargs) -> "SimConfig":
         return replace(self, **kwargs)

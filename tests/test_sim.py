@@ -486,6 +486,18 @@ class TestConfigValidation:
             {"due_date_factor": 0.0},
             {"weight_mix": ((1, 0.5), (2, 0.4))},
             {"weight_mix": ((0, 0.5), (2, 0.5))},
+            {"weight_mix": ((1, math.nan), (2, 1.0))},
+            {"weight_mix": ((math.nan, 1.0),)},
+            {"weight_mix": ((math.inf, 1.0),)},
+            {"weight_mix": ((1, math.inf), (2, -math.inf))},
+            {"rate_range": (10.0, math.inf)},
+            {"rate_range": (math.nan, 15.0)},
+            {"workload_range": (100, math.inf)},
+            {"distance_range": (35, math.inf)},
+            {"transport_speed": math.nan},
+            {"transport_speed": math.inf},
+            {"due_date_factor": math.nan},
+            {"due_date_factor": math.inf},
         ],
     )
     def test_bad_sim_config(self, kwargs):
