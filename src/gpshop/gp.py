@@ -44,7 +44,6 @@ __all__ = [
     "mutate",
     "phenotypic_diversity",
     "evolve",
-    "test_performance",
 ]
 
 # Fitness assigned to rules whose simulation was aborted by the queue
@@ -103,6 +102,13 @@ class SeedRejection:
 
 @dataclass
 class GenerationStats:
+    """One generation's summary.
+
+    ``mean_fitness`` averages the simulations that completed; the
+    ``aborted`` ones, which the queue guard stopped, are only counted.
+    When every simulation aborted the mean is DEGENERATE_FITNESS.
+    """
+
     generation: int
     best_fitness: float
     mean_fitness: float
@@ -111,6 +117,7 @@ class GenerationStats:
     best_sequencing: str
     wall_time: float
     op_counts: dict[str, int] = field(default_factory=dict)
+    aborted: int = 0
 
 
 @dataclass
@@ -124,9 +131,9 @@ class EvolutionLog:
 
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("generation,best,mean,diversity\n")
+            fh.write("generation,best,mean,diversity,aborted\n")
             for e in self.entries:
-                fh.write(f"{e.generation},{e.best_fitness!r},{e.mean_fitness!r},{e.diversity!r}\n")
+                fh.write(f"{e.generation},{e.best_fitness!r},{e.mean_fitness!r},{e.diversity!r},{e.aborted}\n")
         os.replace(tmp, path)
 
 
@@ -256,11 +263,6 @@ class FitnessEvaluator:
                 continue
             total += weighted_fitness(objectives, self.scenario, reference)
         return total / len(self.scenario.test_seeds)
-
-
-def test_performance(best: Individual | RulePair, evaluator: FitnessEvaluator) -> float:
-    pair = best.genome if isinstance(best, Individual) else best
-    return evaluator.test_performance(pair)
 
 
 # --------------------------------------------------------------- operators
@@ -440,18 +442,20 @@ def evolve(
         if g == 0:
             log.gen0_fitness = [ind.fitness for ind in population]
         gen_best = min(population, key=lambda ind: ind.fitness)
+        completed = [ind.fitness for ind in population if ind.fitness != DEGENERATE_FITNESS]
         if best_ever is None or gen_best.fitness < best_ever.fitness:
             best_ever = Individual(genome=gen_best.genome, fitness=gen_best.fitness, origin=gen_best.origin)
         log.entries.append(
             GenerationStats(
                 generation=g,
                 best_fitness=gen_best.fitness,
-                mean_fitness=sum(ind.fitness for ind in population) / len(population),
+                mean_fitness=sum(completed) / len(completed) if completed else DEGENERATE_FITNESS,
                 diversity=phenotypic_diversity(population),
                 best_routing=format_expr(gen_best.genome.routing),
                 best_sequencing=format_expr(gen_best.genome.sequencing),
                 wall_time=time.perf_counter() - t0,
                 op_counts=dict(op_counts),
+                aborted=len(population) - len(completed),
             )
         )
         if on_generation is not None:

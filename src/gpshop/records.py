@@ -310,6 +310,7 @@ def log_from_record(record: RunRecordFile) -> EvolutionLog:
             best_sequencing=row["best_sequencing"],
             wall_time=0.0,
             op_counts=dict(row.get("op_counts", {})),
+            aborted=int(row.get("aborted", 0)),
         )
         for row in record.generations
     ]

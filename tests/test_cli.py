@@ -191,7 +191,7 @@ class TestEvolve:
         # best.txt reloads as exactly one pair
         assert len(load_rule_pairs(str(runs_random / "run-0.best.txt"))) == 1
         csv = (runs_random / "run-0.log.csv").read_text()
-        assert csv.startswith("generation,best,mean,diversity\n")
+        assert csv.startswith("generation,best,mean,diversity,aborted\n")
         assert len(csv.splitlines()) == 2
 
     def test_repeat_invocation_byte_identical(self, ws, runs_random):

@@ -23,7 +23,6 @@ from gpshop.gp import (
     phenotypic_diversity,
     tournament_select,
 )
-from gpshop.gp import test_performance as holdout_performance
 from gpshop.rules import RulePair
 from gpshop.sim import Scenario, SimConfig, run_simulation, weighted_fitness
 
@@ -57,6 +56,19 @@ class StubEvaluator:
         self.seeds_seen.append(seed)
         for ind in population:
             ind.fitness = float(size(ind.genome.routing) + size(ind.genome.sequencing))
+
+
+class AbortingStub(StubEvaluator):
+    """StubEvaluator whose every ``every``-th individual trips the queue guard."""
+
+    def __init__(self, every: int):
+        super().__init__()
+        self.every = every
+
+    def evaluate_population(self, population, seed):
+        super().evaluate_population(population, seed)
+        for ind in population[:: self.every]:
+            ind.fitness = DEGENERATE_FITNESS
 
 
 def deep_tree(levels: int) -> Expression:
@@ -417,7 +429,6 @@ class TestFitnessEvaluator:
         pair = RulePair.reference()
         expected = (ev.fitness(pair, 3) + ev.fitness(pair, 4)) / 2
         assert ev.test_performance(pair) == pytest.approx(expected)
-        assert holdout_performance(Individual(genome=pair), ev) == pytest.approx(expected)
 
 
 class TestEvolve:
@@ -533,6 +544,23 @@ class TestEvolve:
         origins = [ind.origin for ind in captured[0]]
         assert origins.count("llm-seeded") == 1
 
+    @pytest.mark.parametrize("every, aborted", [(3, 4), (1, 12)])
+    def test_mean_fitness_skips_guard_aborts(self, every, aborted):
+        seen = []
+        _, log = evolve(
+            small_params(), SMALL_SCENARIO, SMALL_CONFIG, np.random.default_rng(5),
+            evaluator=AbortingStub(every),
+            on_generation=lambda g, pop: seen.append([ind.fitness for ind in pop]),
+        )
+        assert len(log.entries) == len(seen) == 3
+        for entry, fitnesses in zip(log.entries, seen):
+            assert entry.aborted == aborted
+            completed = [f for f in fitnesses if f != DEGENERATE_FITNESS]
+            if completed:
+                assert entry.mean_fitness == sum(completed) / len(completed)
+            else:
+                assert entry.mean_fitness == DEGENERATE_FITNESS
+
     def test_log_to_csv(self, tmp_path):
         stub = StubEvaluator()
         rng = np.random.default_rng(19)
@@ -540,5 +568,5 @@ class TestEvolve:
         path = tmp_path / "log.csv"
         log.to_csv(str(path))
         lines = path.read_text().splitlines()
-        assert lines[0] == "generation,best,mean,diversity"
+        assert lines[0] == "generation,best,mean,diversity,aborted"
         assert len(lines) == 4

@@ -203,14 +203,28 @@ class TestRunRecords:
     def test_log_from_record(self, tmp_path):
         path = str(tmp_path / "r.jsonl")
         log = sample_log()
+        log.entries[1].aborted = 2
         write_run_record(path, sample_meta(SCENARIO), log, RESULT)
         rebuilt = log_from_record(read_run_record(path))
+        assert [e.aborted for e in rebuilt.entries] == [0, 2]
         assert rebuilt.gen0_fitness == log.gen0_fitness
         assert [e.generation for e in rebuilt.entries] == [0, 1]
         assert rebuilt.entries[1].best_fitness == 8.0
         assert rebuilt.entries[1].op_counts == {"crossover": 3, "mutation": 1}
         assert all(e.wall_time == 0.0 for e in rebuilt.entries)
         assert rebuilt.seed_rejections == log.seed_rejections
+
+    def test_log_from_record_without_abort_counts(self, tmp_path):
+        """Records written before generation rows carried ``aborted`` still load."""
+        log = sample_log()
+        log.entries[1].aborted = 2
+        rows = [json.loads(line) for line in run_record_lines(sample_meta(SCENARIO), log, RESULT)]
+        for row in rows:
+            row.pop("aborted", None)
+        path = tmp_path / "old.jsonl"
+        path.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+        rebuilt = log_from_record(read_run_record(str(path)))
+        assert [e.aborted for e in rebuilt.entries] == [0, 0]
 
     def test_read_rejects_defects(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
