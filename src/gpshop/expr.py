@@ -2,8 +2,9 @@
 
 Routing and sequencing rules are immutable binary trees over thirteen
 shop-floor terminals and six arithmetic operators.  This module owns the
-tree type, evaluation (a reference interpreter plus a compiled fast path
-used by the simulator), the textual grammar, random tree generation, and
+tree type, evaluation (a reference interpreter, plus the generated
+source the simulator inlines into its decision loops and a compiled
+function form of it), the textual grammar, random tree generation, and
 the structural metrics everything else relies on.
 
 Lower rule values are better: the simulator always picks the candidate
@@ -33,6 +34,7 @@ __all__ = [
     "MAX_MAGNITUDE",
     "evaluate",
     "compile_expression",
+    "expression_source",
     "parse",
     "format_expr",
     "random_tree",
@@ -207,19 +209,19 @@ def evaluate(expr: Expression, ctx: DecisionContext) -> float:
 _ARG_NAMES = tuple(t.name for t in TERMINAL_ORDER)
 
 
-def compile_expression(expr: Expression) -> Callable[..., float]:
-    """Compile a tree into a plain Python function of 13 positional floats.
+def expression_source(expr: Expression) -> str:
+    """Python source of one expression that computes the tree's value.
 
-    Argument order is TERMINAL_ORDER.  The body is one expression of
+    Terminals appear as bare names (``NIQ``, ``rDD`` ...), which the
+    surrounding code must bind; ``_t0``, ``_t1`` ... are walrus
+    temporaries, so the names must be free in that scope.  The source is
     arithmetic and inline conditionals, with walrus temporaries for values
     read twice; it calls no function.  ``min(a, b)`` is emitted as
     ``b if a > b else a`` and ``max(a, b)`` as ``b if a < b else a``, the
     builtins' own comparisons, and the +/-1e300 saturation of ``*`` and
     ``/`` compares against the bounds only.  Results are therefore
     bit-identical to ``evaluate``, NaN, infinities, the sign of zero and
-    the left operand on ties included; tests pin the equivalence.  The
-    simulator calls the compiled form millions of times, hence the code
-    generation.
+    the left operand on ties included; tests pin the equivalence.
     """
     temps = (f"_t{i}" for i in itertools.count())
 
@@ -255,8 +257,20 @@ def compile_expression(expr: Expression) -> Callable[..., float]:
             return f"({l} - {r})"
         return clamp(f"{l} * {r}")
 
-    body = emit(expr)
-    src = f"def _rule({', '.join(_ARG_NAMES)}):\n    return {body}\n"
+    return emit(expr)
+
+
+def compile_expression(expr: Expression) -> Callable[..., float]:
+    """Compile a tree into a plain Python function of 13 positional floats.
+
+    Argument order is TERMINAL_ORDER; the body is ``expression_source``,
+    so results are bit-identical to ``evaluate``.  The simulator inlines
+    that same source into its generated decision loops instead (see
+    ``sim.engine.compile_choosers``); this standalone form serves the
+    simulator's context-capturing path, checks and callers that score
+    single contexts.
+    """
+    src = f"def _rule({', '.join(_ARG_NAMES)}):\n    return {expression_source(expr)}\n"
     namespace: dict = {}
     exec(compile(src, "<rule>", "exec"), {}, namespace)
     return namespace["_rule"]

@@ -23,6 +23,7 @@ from .expr import (
     random_tree,
     replace_subtree,
 )
+from .fileio import write_text_atomic
 from .rules import RulePair
 from .sim.config import Scenario, SimConfig
 from .sim.engine import QueueOverflow, run_simulation
@@ -127,14 +128,11 @@ class EvolutionLog:
     seed_rejections: list[SeedRejection] = field(default_factory=list)
 
     def to_csv(self, path: str) -> None:
-        import os
-
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("generation,best,mean,diversity,aborted\n")
-            for e in self.entries:
-                fh.write(f"{e.generation},{e.best_fitness!r},{e.mean_fitness!r},{e.diversity!r},{e.aborted}\n")
-        os.replace(tmp, path)
+        rows = [
+            f"{e.generation},{e.best_fitness!r},{e.mean_fitness!r},{e.diversity!r},{e.aborted}\n"
+            for e in self.entries
+        ]
+        write_text_atomic(path, "generation,best,mean,diversity,aborted\n" + "".join(rows))
 
 
 # ------------------------------------------------------------- population
@@ -235,6 +233,10 @@ class FitnessEvaluator:
 
     def fitness(self, pair: RulePair, seed: int) -> float:
         self.evaluations += 1
+        return self._fitness_on(pair, seed)
+
+    def _fitness_on(self, pair: RulePair, seed: int) -> float:
+        """Memoised fitness of ``pair`` on ``seed``; not counted in ``evaluations``."""
         key = (pair, seed)
         value = self._fitness.get(key)
         if value is None:
@@ -252,16 +254,15 @@ class FitnessEvaluator:
             ind.fitness = self.fitness(ind.genome, seed)
 
     def test_performance(self, pair: RulePair) -> float:
-        """Mean fitness across the scenario's held-out test seeds."""
+        """Mean fitness across the scenario's held-out test seeds.
+
+        Each seed is scored as ``fitness`` scores it, memo included, but
+        is not counted in ``evaluations``; the scores are summed in seed
+        order and divided once.
+        """
         total = 0.0
         for seed in self.scenario.test_seeds:
-            reference = self.reference_objectives(seed) if self.scenario.is_multi_objective else None
-            try:
-                objectives = self.objectives(pair, seed)
-            except QueueOverflow:
-                total += DEGENERATE_FITNESS
-                continue
-            total += weighted_fitness(objectives, self.scenario, reference)
+            total += self._fitness_on(pair, seed)
         return total / len(self.scenario.test_seeds)
 
 

@@ -10,7 +10,6 @@ filesystem paths.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from typing import Any, Iterable, Mapping, Sequence
@@ -19,6 +18,7 @@ import yaml
 
 from .analysis import RunRecord
 from .errors import ConfigError, DataError
+from .fileio import write_text_atomic
 from .gp import EvolutionLog, GenerationStats, GPParams, SeedRejection
 from .llm.prompts import ReferenceHeuristic
 from .llm.provider import ProviderConfig
@@ -160,19 +160,6 @@ def load_config(path: str | None = None) -> AppConfig:
         provider=_build_dataclass(ProviderConfig, "llm", llm),
         n_requested=n_requested,
     )
-
-
-# ---------------------------------------------------------------------------
-# atomic writes
-
-def write_text_atomic(path: str, text: str) -> None:
-    """Write-then-rename so a killed process never leaves a partial file."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------

@@ -47,12 +47,19 @@ class SimConfig:
             lo, hi = getattr(self, name)
             if not (0 < lo <= hi < math.inf):
                 raise ConfigError(f"{name} must satisfy 0 < lo <= hi < inf, got {(lo, hi)}")
+        # Instance generation draws these as integers, and the weight
+        # becomes an int; a fractional value would be silently truncated.
+        for name in ("workload_range", "ops_per_job_range", "distance_range"):
+            if any(x != int(x) for x in getattr(self, name)):
+                raise ConfigError(f"{name} bounds must be integers, got {getattr(self, name)}")
         if not (0 < self.transport_speed < math.inf):
             raise ConfigError("transport_speed must be positive and finite")
         if not (0 < self.due_date_factor < math.inf):
             raise ConfigError("due_date_factor must be positive and finite")
         if not all(0 < w < math.inf and 0 <= p < math.inf for w, p in self.weight_mix):
             raise ConfigError("weights must be positive and probabilities non-negative, all finite")
+        if any(w != int(w) for w, _ in self.weight_mix):
+            raise ConfigError(f"weights must be integers, got {[w for w, _ in self.weight_mix]}")
         total = sum(p for _, p in self.weight_mix)
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"weight probabilities must sum to 1, got {total}")

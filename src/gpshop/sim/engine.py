@@ -31,11 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING
 
-from ..expr import DecisionContext, compile_expression
-from .instance import Instance
+from ..expr import DecisionContext, compile_expression, expression_source, terminal_histogram
+from ..fileio import write_text_atomic
+from .instance import Instance, JobTables
 from .objectives import CompletedJob, ObjectiveVector, compute_objectives
 
 if TYPE_CHECKING:
@@ -164,6 +165,105 @@ def build_sequencing_context(
     )
 
 
+# Statements that bind each terminal in the generated choosers.  A routing
+# decision scores the eligible machines of job j's operation k at time t;
+# a sequencing decision scores the queued operations of machine mch.
+# SLACK is (due - t) - WKR, the context builders' order of operations.
+_JOB_TERMS = {
+    "rDD": "rDD = due[j] - t",
+    "SLACK": "SLACK = due[j] - t - wkr[j][k]",
+    "W": "W = weight[j]",
+    "TIS": "TIS = t - release[j]",
+}
+_MACHINE_TERMS = {
+    "NIQ": "NIQ = niq[mch]",
+    "WIQ": "WIQ = wiq[mch]",
+    "MWT": "MWT = t - mrt[mch]",
+}
+_ROUTE_PER_DECISION = {
+    **_JOB_TERMS,
+    "NPT": "NPT = npt[j][k]",
+    "WKR": "WKR = wkr[j][k]",
+    "NOR": "NOR = n_ops[j] - k",
+    "OWT": "OWT = 0.0",
+}
+_ROUTE_PER_MACHINE = {**_MACHINE_TERMS, "PT": "PT = pts[i]", "TRANT": "TRANT = row[mch]"}
+# PT, TRANT, NPT, WKR and NOR come unpacked from the queue entry.
+_SEQUENCE_PER_OPERATION = {**_JOB_TERMS, "OWT": "OWT = t - ready_t"}
+
+_CHOOSERS = """\
+def _bind(niq, wiq, mrt, release, due, weight, n_ops, npt, wkr):
+    def choose_machine(j, k, t, machs, pts, row):
+{route_decision}
+        best = _INF
+        chosen = 0
+        for i, mch in enumerate(machs):
+{route_machine}
+            s = {route_body}
+            if not (-_INF < s < _INF):
+                raise NonFiniteScore(f"routing rule returned {{s!r}}")
+            if s < best:
+                best = s
+                chosen = i
+        return chosen
+
+    def choose_op(queue, mch, t):
+{sequence_decision}
+        best = _INF
+        best_ready = _INF
+        best_job = -1
+        idx = 0
+        for i, (j, k, ready_t, PT, TRANT, NPT, WKR, NOR) in enumerate(queue):
+{sequence_operation}
+            s = {sequence_body}
+            if not (-_INF < s < _INF):
+                raise NonFiniteScore(f"sequencing rule returned {{s!r}}")
+            if s < best or (s == best and (ready_t, j) < (best_ready, best_job)):
+                best = s
+                best_ready = ready_t
+                best_job = j
+                idx = i
+        return idx
+
+    return choose_machine, choose_op
+"""
+
+
+def _bindings(statements: dict[str, str], reads: set[str], indent: str) -> str:
+    """The statements that bind the terminals a rule reads."""
+    return "\n".join(indent + stmt for name, stmt in statements.items() if name in reads)
+
+
+def compile_choosers(rules: "RulePair", niq: list, wiq: list, mrt: list, tables: JobTables):
+    """Generate the simulator's two decision functions for one rule pair.
+
+    ``choose_machine(j, k, t, machs, pts, row)`` returns the index in
+    ``machs`` of the machine the routing rule scores lowest, ties to the
+    lower index; ``choose_op(queue, mch, t)`` returns the index of the
+    queue entry the sequencing rule scores lowest, ties to the earliest
+    ready time, then the lowest job.  Each rule's ``expression_source``
+    is inlined into its candidate loop, and only the terminals it reads
+    are computed, with the values and types the context builders give
+    (NIQ and NOR are ints, OWT is 0.0 when routing).  The functions read
+    the live machine state ``niq``, ``wiq`` and ``mrt`` at call time.
+    """
+    route_reads = {t.name for t in terminal_histogram(rules.routing)}
+    sequence_reads = {t.name for t in terminal_histogram(rules.sequencing)}
+    src = _CHOOSERS.format(
+        route_decision=_bindings(_ROUTE_PER_DECISION, route_reads, " " * 8),
+        route_machine=_bindings(_ROUTE_PER_MACHINE, route_reads, " " * 12),
+        route_body=expression_source(rules.routing),
+        sequence_decision=_bindings(_MACHINE_TERMS, sequence_reads, " " * 8),
+        sequence_operation=_bindings(_SEQUENCE_PER_OPERATION, sequence_reads, " " * 12),
+        sequence_body=expression_source(rules.sequencing),
+    )
+    namespace: dict = {"_INF": _INF, "NonFiniteScore": NonFiniteScore}
+    exec(compile(src, "<choosers>", "exec"), namespace)
+    return namespace["_bind"](
+        niq, wiq, mrt, tables.release, tables.due, tables.weight, tables.n_ops, tables.npt, tables.wkr
+    )
+
+
 def run_simulation(
     rules: "RulePair",
     instance: Instance,
@@ -176,46 +276,30 @@ def run_simulation(
 
     ``config`` defaults to the instance's own; overriding is only
     meaningful for fields that do not shape the job stream (warm-up
-    count, transport speed).  With ``capture_contexts`` every scored
-    decision goes through the public context builders and is recorded as
+    count, transport speed).  Decisions are made by the two functions
+    ``compile_choosers`` generates for this rule pair, once per call; the
+    job data comes from ``instance.tables``, built on the instance's
+    first simulation.  With ``capture_contexts`` each candidate is instead
+    scored by ``compile_expression``'s form of the rule on the public
+    context builders' output, and every scored decision is recorded as
     (kind, time, job_id, op_index, machine, DecisionContext); decisions
-    are identical either way, which a test pins.  ``max_queue`` aborts
-    the run with QueueOverflow once any machine holds more committed
+    are identical either way, which tests pin.  ``max_queue`` aborts the
+    run with QueueOverflow once any machine holds more committed
     operations, which fitness evaluators use to prune degenerate rules.
     """
     cfg = config if config is not None else instance.config
-    route_fn = compile_expression(rules.routing)
-    seq_fn = compile_expression(rules.sequencing)
 
     speed = cfg.transport_speed
-    jobs = instance.jobs
-    n_jobs = len(jobs)
+    tables = instance.tables
+    release, due, weight, n_ops = tables.release, tables.due, tables.weight, tables.n_ops
+    ops_mach, ops_pt, ops_npt, ops_wkr = tables.machines, tables.proc_times, tables.npt, tables.wkr
+    n_jobs = len(release)
     m = len(instance.machine_rates)
 
     # Row 0 is travel from the entry point; rows 1..m from each machine.
     trav: list[tuple[float, ...]] = [tuple(d / speed for d in instance.entry_distances)]
     for row in instance.machine_distances:
         trav.append(tuple(d / speed for d in row))
-
-    release = [job.release for job in jobs]
-    weight = [job.weight for job in jobs]
-    due = [job.due for job in jobs]
-    n_ops = [len(job.operations) for job in jobs]
-    ops_mach = [[op.machines for op in job.operations] for job in jobs]
-    ops_pt = [[op.proc_times for op in job.operations] for job in jobs]
-    ops_npt: list[list[float]] = []
-    ops_wkr: list[list[float]] = []
-    for job in jobs:
-        medians = [op.median_proc_time for op in job.operations]
-        npts = [medians[k + 1] if k + 1 < len(medians) else 0.0 for k in range(len(medians))]
-        wkrs = []
-        acc = 0.0
-        for med in reversed(medians):
-            acc += med
-            wkrs.append(acc)
-        wkrs.reverse()
-        ops_npt.append(npts)
-        ops_wkr.append(wkrs)
 
     cur_op = [0] * n_jobs
     loc = [-1] * n_jobs  # -1 = entry point, else machine index
@@ -225,53 +309,31 @@ def run_simulation(
     busy = [False] * m
     mrt = [0.0] * m  # time the machine is/was next ready
     busy_time = [0.0] * m
+    # The queue entry of each job's operation in transit, made when it is
+    # routed: (job, op, ready time, proc time, transport incurred, NPT,
+    # WKR, NOR).  A job has at most one operation in flight.
+    in_transit: list[tuple | None] = [None] * n_jobs
 
     completed: list[CompletedJob] = []
     trace: list[tuple] | None = [] if record_trace else None
     contexts: list[tuple] | None = [] if capture_contexts else None
 
-    heap: list[tuple] = []
-    seq_counter = 0
-    for j in range(n_jobs):
-        heappush(heap, (release[j], seq_counter, _READY, j, -1))
-        seq_counter += 1
+    # Event keys (time, sequence number) are unique; releases take 0..n-1.
+    heap: list[tuple] = [(release[j], j, _READY, j, -1) for j in range(n_jobs)]
+    heapify(heap)
+    seq_counter = n_jobs
 
     n_done = 0
     end_time = 0.0
-    # Operations in transit, keyed by (job, op): (ready time, proc time,
-    # transport incurred).  A job has at most one op in flight.
-    pending: dict[tuple[int, int], tuple[float, float, float]] = {}
+    queue_limit = _INF if max_queue is None else max_queue
 
-    def route_op(j: int, t: float) -> None:
-        nonlocal seq_counter
-        k = cur_op[j]
-        machs = ops_mach[j][k]
-        pts = ops_pt[j][k]
-        row = trav[loc[j] + 1]
-        if len(machs) == 1:
-            chosen = 0
-        elif contexts is None:
-            npt = ops_npt[j][k]
-            wkr = ops_wkr[j][k]
-            nor = n_ops[j] - k
-            rdd = due[j] - t
-            slack = rdd - wkr
-            w_j = weight[j]
-            tis = t - release[j]
-            best = _INF
-            chosen = 0
-            for i in range(len(machs)):
-                mch = machs[i]
-                s = route_fn(
-                    niq[mch], wiq[mch], t - mrt[mch], pts[i], npt,
-                    0.0, wkr, nor, rdd, slack, w_j, tis, row[mch],
-                )
-                if not (-_INF < s < _INF):
-                    raise NonFiniteScore(f"routing rule returned {s!r}")
-                if s < best:
-                    best = s
-                    chosen = i
-        else:
+    if contexts is None:
+        choose_machine, choose_op = compile_choosers(rules, niq, wiq, mrt, tables)
+    else:
+        route_fn = compile_expression(rules.routing)
+        seq_fn = compile_expression(rules.sequencing)
+
+        def choose_machine(j: int, k: int, t: float, machs, pts, row) -> int:
             best = _INF
             chosen = 0
             for i in range(len(machs)):
@@ -297,46 +359,9 @@ def run_simulation(
                 if s < best:
                     best = s
                     chosen = i
-        mch = machs[chosen]
-        trant = row[mch]
-        niq[mch] += 1
-        if max_queue is not None and niq[mch] > max_queue:
-            raise QueueOverflow(mch, t, max_queue)
-        wiq[mch] += pts[chosen]
-        heappush(heap, (t + trant, seq_counter, _ARRIVE, j, mch))
-        seq_counter += 1
-        pending[(j, k)] = (t, pts[chosen], trant)
+            return chosen
 
-    def dispatch(mch: int, t: float) -> None:
-        nonlocal seq_counter
-        queue = queues[mch]
-        if not queue:
-            return
-        if len(queue) == 1:
-            idx = 0
-        elif contexts is None:
-            n_committed = niq[mch]
-            w_in_q = wiq[mch]
-            mwt = t - mrt[mch]
-            best = _INF
-            best_ready = _INF
-            best_job = -1
-            idx = 0
-            for i in range(len(queue)):
-                j, k, ready_t, pt, trant, npt, wkr, nor = queue[i]
-                rdd = due[j] - t
-                s = seq_fn(
-                    n_committed, w_in_q, mwt, pt, npt, t - ready_t, wkr, nor,
-                    rdd, rdd - wkr, weight[j], t - release[j], trant,
-                )
-                if not (-_INF < s < _INF):
-                    raise NonFiniteScore(f"sequencing rule returned {s!r}")
-                if s < best or (s == best and (ready_t, j) < (best_ready, best_job)):
-                    best = s
-                    best_ready = ready_t
-                    best_job = j
-                    idx = i
-        else:
+        def choose_op(queue: list, mch: int, t: float) -> int:
             best = _INF
             best_ready = _INF
             best_job = -1
@@ -367,6 +392,32 @@ def run_simulation(
                     best_ready = ready_t
                     best_job = j
                     idx = i
+            return idx
+
+    def route_op(j: int, t: float) -> None:
+        nonlocal seq_counter
+        k = cur_op[j]
+        machs = ops_mach[j][k]
+        pts = ops_pt[j][k]
+        row = trav[loc[j] + 1]
+        chosen = choose_machine(j, k, t, machs, pts, row) if len(machs) > 1 else 0
+        mch = machs[chosen]
+        pt = pts[chosen]
+        trant = row[mch]
+        niq[mch] += 1
+        if niq[mch] > queue_limit:
+            raise QueueOverflow(mch, t, max_queue)
+        wiq[mch] += pt
+        heappush(heap, (t + trant, seq_counter, _ARRIVE, j, mch))
+        seq_counter += 1
+        in_transit[j] = (j, k, t, pt, trant, ops_npt[j][k], ops_wkr[j][k], n_ops[j] - k)
+
+    def dispatch(mch: int, t: float) -> None:
+        nonlocal seq_counter
+        queue = queues[mch]
+        if not queue:
+            return
+        idx = choose_op(queue, mch, t) if len(queue) > 1 else 0
         j, k, ready_t, pt, trant, npt, wkr, nor = queue.pop(idx)
         niq[mch] -= 1
         wiq[mch] -= pt
@@ -406,11 +457,7 @@ def run_simulation(
                     break
             dispatch(mch, t)
         elif kind == _ARRIVE:
-            k = cur_op[j]
-            ready_t, pt, trant = pending.pop((j, k))
-            queues[mch].append(
-                (j, k, ready_t, pt, trant, ops_npt[j][k], ops_wkr[j][k], n_ops[j] - k)
-            )
+            queues[mch].append(in_transit[j])
             if not busy[mch]:
                 dispatch(mch, t)
         else:  # _READY: job released at the shop entry
@@ -509,7 +556,5 @@ def validate_trace(trace: list[tuple], instance: Instance) -> list[str]:
 
 def trace_to_csv(trace: list[tuple], path: str) -> None:
     """Write trace rows as CSV (time, machine, job, op, event); op is 0-based."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("time,machine,job,op,event\n")
-        for time, mch, job_id, op_idx, kind in trace:
-            fh.write(f"{time!r},{mch},{job_id},{op_idx},{kind}\n")
+    rows = [f"{time!r},{mch},{job_id},{op_idx},{kind}\n" for time, mch, job_id, op_idx, kind in trace]
+    write_text_atomic(path, "time,machine,job,op,event\n" + "".join(rows))

@@ -9,13 +9,15 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
-import os
 import statistics
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import DataError
+from ..fileio import write_text_atomic
 from .config import SimConfig
 
 
@@ -50,6 +52,25 @@ class Job:
     operations: tuple[Operation, ...]
 
 
+class JobTables(NamedTuple):
+    """An instance's static job data as lists indexed by job position.
+
+    The per-operation lists are indexed ``[job][op]``: eligible machines,
+    their processing times, the next operation's median processing time
+    (NPT, 0 for the last operation) and the median work remaining from
+    that operation on, itself included (WKR).
+    """
+
+    release: list[float]
+    due: list[float]
+    weight: list[int]
+    n_ops: list[int]
+    machines: list[list[tuple[int, ...]]]
+    proc_times: list[list[tuple[float, ...]]]
+    npt: list[list[float]]
+    wkr: list[list[float]]
+
+
 @dataclass(frozen=True)
 class Instance:
     config: SimConfig
@@ -58,6 +79,37 @@ class Instance:
     entry_distances: tuple[float, ...]
     machine_distances: tuple[tuple[float, ...], ...]
     jobs: tuple[Job, ...]
+
+    @cached_property
+    def tables(self) -> JobTables:
+        """The job data the simulator reads, built on first use and kept.
+
+        Not a dataclass field, so equality, ``repr`` and ``dump_instance``
+        are unaffected.
+        """
+        jobs = self.jobs
+        npt: list[list[float]] = []
+        wkr: list[list[float]] = []
+        for job in jobs:
+            medians = [op.median_proc_time for op in job.operations]
+            npt.append(medians[1:] + [0.0])
+            remaining = []
+            acc = 0.0
+            for med in reversed(medians):
+                acc += med
+                remaining.append(acc)
+            remaining.reverse()
+            wkr.append(remaining)
+        return JobTables(
+            release=[job.release for job in jobs],
+            due=[job.due for job in jobs],
+            weight=[job.weight for job in jobs],
+            n_ops=[len(job.operations) for job in jobs],
+            machines=[[op.machines for op in job.operations] for job in jobs],
+            proc_times=[[op.proc_times for op in job.operations] for job in jobs],
+            npt=npt,
+            wkr=wkr,
+        )
 
 
 def arrival_rate_for_utilization(config: SimConfig) -> float:
@@ -277,8 +329,8 @@ def dump_instance(instance: Instance, path: str) -> None:
     """Write an instance as JSON lines: one header line, then one per job.
 
     Output is deterministic (sorted keys, no timestamps), so identical
-    instances serialize to byte-identical files.  Writes via a temp file
-    and atomic rename.
+    instances serialize to byte-identical files.  Written with
+    ``write_text_atomic``.
     """
     header = {
         "kind": "gpshop-instance",
@@ -289,27 +341,25 @@ def dump_instance(instance: Instance, path: str) -> None:
         "entry_distances": list(instance.entry_distances),
         "machine_distances": [list(row) for row in instance.machine_distances],
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for job in instance.jobs:
-            record = {
-                "id": job.id,
-                "release": job.release,
-                "weight": job.weight,
-                "due": job.due,
-                "ops": [
-                    {
-                        "workload": op.workload,
-                        "machines": list(op.machines),
-                        "proc_times": list(op.proc_times),
-                        "median": op.median_proc_time,
-                    }
-                    for op in job.operations
-                ],
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    lines = [json.dumps(header, sort_keys=True) + "\n"]
+    for job in instance.jobs:
+        record = {
+            "id": job.id,
+            "release": job.release,
+            "weight": job.weight,
+            "due": job.due,
+            "ops": [
+                {
+                    "workload": op.workload,
+                    "machines": list(op.machines),
+                    "proc_times": list(op.proc_times),
+                    "median": op.median_proc_time,
+                }
+                for op in job.operations
+            ],
+        }
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    write_text_atomic(path, "".join(lines))
 
 
 def load_instance(path: str) -> Instance:

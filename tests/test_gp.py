@@ -429,6 +429,23 @@ class TestFitnessEvaluator:
         pair = RulePair.reference()
         expected = (ev.fitness(pair, 3) + ev.fitness(pair, 4)) / 2
         assert ev.test_performance(pair) == pytest.approx(expected)
+        # Test seeds are scored as fitness scores them, but not counted.
+        cold = FitnessEvaluator(SMALL_CONFIG, scenario)
+        assert cold.test_performance(pair) == expected
+        assert cold.evaluations == 0
+
+    def test_test_performance_scores_guard_aborts(self, monkeypatch):
+        simulated = self.spy_on_simulations(monkeypatch)
+        scenario = Scenario(
+            objectives=("Fmean",), lambdas=(1.0,), utilization=0.8,
+            training_seeds=(1,), test_seeds=(3, 4),
+        )
+        ev = FitnessEvaluator(SMALL_CONFIG.with_overrides(total_jobs=200, warmup_jobs=10), scenario, max_queue=30)
+        pair = RulePair.from_text("W - W", "PT")
+        assert ev.test_performance(pair) == DEGENERATE_FITNESS
+        assert ev.test_performance(pair) == DEGENERATE_FITNESS
+        assert simulated == [3, 4]
+        assert ev.evaluations == 0
 
 
 class TestEvolve:

@@ -78,10 +78,10 @@ ORACLE_CONFIGS = {
         num_machines=3, total_jobs=20, warmup_jobs=2,
         workload_range=(1, 2**31 + 1), distance_range=(1, 2**62 + 1),
     ),
-    # Bounds that integers() truncates with int(), as YAML configs allow.
+    # Integral float bounds, as YAML configs may give them.
     "float-bounds": SimConfig(
         num_machines=3, total_jobs=20, warmup_jobs=2,
-        workload_range=(100.5, 1000.7), distance_range=(35.2, 500.9),
+        workload_range=(100.0, 1000.0), distance_range=(35.0, 500.0),
     ),
     "range-edges": SimConfig(
         num_machines=3, total_jobs=20, warmup_jobs=2,

@@ -5,6 +5,7 @@ is in tests/data/golden_schedule.md.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpshop.errors import ConfigError, DataError
-from gpshop.expr import random_tree
+from gpshop.expr import TERMINAL_ORDER, parse, random_tree
 from gpshop.rules import RulePair
 from gpshop.sim import (
     CompletedJob,
@@ -372,7 +373,19 @@ class TestPersistence:
         path = tmp_path / "inst.jsonl"
         dump_instance(inst, str(path))
         assert load_instance(str(path)) == inst
-        assert not (tmp_path / "inst.jsonl.tmp").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["inst.jsonl"]
+
+    def test_tables_leave_instance_unchanged(self, tmp_path):
+        inst = generate_instance(SimConfig(num_machines=3, total_jobs=25, warmup_jobs=2), seed=4)
+        before, after = tmp_path / "before.jsonl", tmp_path / "after.jsonl"
+        text = repr(inst)
+        dump_instance(inst, str(before))
+        run_simulation(FIFO_RULES, inst)  # builds and keeps inst.tables
+        assert "tables" in vars(inst)
+        assert repr(inst) == text
+        dump_instance(inst, str(after))
+        assert after.read_bytes() == before.read_bytes()
+        assert inst == generate_instance(inst.config, seed=4)
 
     def test_dump_is_byte_identical(self, tmp_path):
         inst = generate_instance(SimConfig(num_machines=3, total_jobs=25, warmup_jobs=2), seed=4)
@@ -498,11 +511,24 @@ class TestConfigValidation:
             {"transport_speed": math.inf},
             {"due_date_factor": math.nan},
             {"due_date_factor": math.inf},
+            {"workload_range": (100.5, 1000.7)},
+            {"workload_range": (100, 1000.5)},
+            {"ops_per_job_range": (2.5, 10)},
+            {"distance_range": (35.2, 500.9)},
+            {"weight_mix": ((1.5, 0.5), (2, 0.5))},
         ],
     )
     def test_bad_sim_config(self, kwargs):
         with pytest.raises(ConfigError):
             SimConfig(**kwargs)
+
+    def test_integral_float_bounds_accepted(self):
+        """YAML may give integers as floats such as 100.0."""
+        config = SimConfig(
+            workload_range=(100.0, 1000.0), ops_per_job_range=(2.0, 10.0),
+            distance_range=(35.0, 500.0), weight_mix=((1.0, 0.2), (2.0, 0.6), (4.0, 0.2)),
+        )
+        assert config.workload_range == (100.0, 1000.0)
 
     def test_with_overrides(self):
         base = SimConfig()
@@ -552,6 +578,33 @@ _PROP_INSTANCE = generate_instance(
 )
 
 
+# Rules that tie on every candidate, or on many, plus one that reads all
+# thirteen terminals.
+_TIE_HEAVY_RULES = (
+    "W - W", "NOR", "W", "NIQ", "OWT", "min(NOR, W)", "TRANT / TRANT",
+    " + ".join(t.name for t in TERMINAL_ORDER),
+)
+_GUARD_INSTANCE = generate_instance(SimConfig(num_machines=4, total_jobs=60, warmup_jobs=5), seed=29)
+
+
+@st.composite
+def _rule_trees(draw):
+    if draw(st.integers(0, 3)) == 0:
+        return parse(draw(st.sampled_from(_TIE_HEAVY_RULES)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    mode = draw(st.sampled_from(["full", "grow"]))
+    return random_tree(rng, mode=mode, depth_range=(1, draw(st.integers(1, 8))))
+
+
+def _decisions(rules: RulePair, **kwargs):
+    """repr of objectives and trace, or where the queue guard aborted the run."""
+    try:
+        out = run_simulation(rules, _GUARD_INSTANCE, record_trace=True, max_queue=12, **kwargs)
+    except QueueOverflow as exc:
+        return ("abort", exc.machine, exc.time)
+    return repr(out.objectives), repr(out.trace)
+
+
 class TestEngineProperties:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -567,17 +620,28 @@ class TestEngineProperties:
         assert 0.0 < out.busy_fraction <= 1.0
         assert validate_trace(out.trace, _PROP_INSTANCE) == []
 
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    def test_capture_never_changes_decisions(self, seed):
-        rng = np.random.default_rng(seed)
-        rules = RulePair(
-            routing=random_tree(rng, mode="full", depth_range=(2, 3)),
-            sequencing=random_tree(rng, mode="grow", depth_range=(2, 4)),
-        )
-        fast = run_simulation(rules, _PROP_INSTANCE, record_trace=True, max_queue=500)
-        slow = run_simulation(
-            rules, _PROP_INSTANCE, record_trace=True, capture_contexts=True, max_queue=500
-        )
-        assert fast.trace == slow.trace
-        assert fast.objectives == slow.objectives
+    @settings(max_examples=60, deadline=None)
+    @given(routing=_rule_trees(), sequencing=_rule_trees())
+    def test_capture_never_changes_decisions(self, routing, sequencing):
+        """The generated choosers decide as the context-capturing path does.
+
+        The capture path scores each candidate with ``compile_expression``
+        on the public context builders' output, so it is the oracle for
+        the inlined rules; guard aborts must hit the same machine and time.
+        """
+        rules = RulePair(routing=routing, sequencing=sequencing)
+        fast = _decisions(rules)
+        assert fast == _decisions(rules, capture_contexts=True)
+
+    def test_objectives_digest_is_pinned(self):
+        """24 random pairs of depth 1-8; the digest was computed before the choosers existed."""
+        inst = generate_instance(SimConfig(num_machines=5, total_jobs=150, warmup_jobs=15), seed=31)
+        rng = np.random.default_rng(2024)
+        lines = []
+        for i in range(24):
+            mode = "full" if i % 2 == 0 else "grow"
+            depths = (1, 1 + i % 8)
+            rules = RulePair(routing=random_tree(rng, mode, depths), sequencing=random_tree(rng, mode, depths))
+            lines.append(repr(run_simulation(rules, inst).objectives))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "23399184ff8b8d36bd87c4654c9ef078de1a2bb2194c24f7088d478ff5e3088a"
