@@ -30,7 +30,6 @@ __all__ = [
     "summarize",
     "initial_fitness_distribution",
     "terminal_frequency_report",
-    "diversity_series",
 ]
 
 BETTER = "↑"
@@ -331,16 +330,3 @@ def terminal_frequency_report(
                 totals[t] += count
         out[slot] = {t.name: totals[t] / len(pairs) for t in TERMINAL_ORDER}
     return out
-
-
-def diversity_series(logs: Sequence[EvolutionLog]) -> list[float]:
-    """Generation-wise mean phenotypic diversity across runs."""
-    if not logs:
-        raise DataError("diversity_series needs at least one log")
-    lengths = {len(log.entries) for log in logs}
-    if len(lengths) != 1:
-        raise DataError(f"logs cover different generation counts: {sorted(lengths)}")
-    gens = lengths.pop()
-    return [
-        sum(log.entries[g].diversity for log in logs) / len(logs) for g in range(gens)
-    ]

@@ -17,11 +17,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .analysis import summarize, terminal_frequency_report
+from .analysis import initial_fitness_distribution, summarize, terminal_frequency_report
 from .errors import ConfigError, DataError
 from .expr import TERMINAL_ORDER, format_expr
 from .gp import FitnessEvaluator, GPParams, evolve
-from .llm.extract import extract_heuristics
+from .llm.extract import ExtractionResult, extract_heuristics
 from .llm.prompts import PreferenceWeights, build_init_prompt
 from .llm.provider import ProviderConfig, ProviderError, query
 from .llm.report import generate_report
@@ -96,28 +96,25 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _llm_seed_pairs(cfg: AppConfig, scenario: Scenario, args, outdir: str) -> list[RulePair]:
-    """One provider call in the parent; all runs share the accepted seeds."""
-    provider = _provider_from_args(cfg, args)
-    seeds_path = os.path.join(outdir, "llm-seeds.txt")
-    provider = provider.with_audit(seeds_path + ".audit.jsonl")
+def _request_seeds(cfg: AppConfig, scenario: Scenario, args, path: str) -> ExtractionResult:
+    """Prompt the model for seed pairs, then write what it sent to ``path``.
+
+    The file lists the accepted pairs, with the rejected candidates' causes
+    as comments and any insights in ``path + ".insights.txt"``; the
+    provider's audit log goes to ``path + ".audit.jsonl"``.
+    """
+    provider = _provider_from_args(cfg, args).with_audit(path + ".audit.jsonl")
     references = load_references(args.references) if args.references else []
     prefs = PreferenceWeights.from_scenario(scenario)
     n = args.n if args.n is not None else cfg.n_requested
     prompt = build_init_prompt(scenario, references, prefs, n_requested=n)
     extraction = extract_heuristics(query(provider, prompt))
-    _dump_extraction(seeds_path, extraction)
-    if not extraction.accepted:
-        print("warning: no usable pairs in the reply; population will be fully random", file=sys.stderr)
-    return list(extraction.accepted)
-
-
-def _dump_extraction(path: str, extraction) -> None:
     comments = [f"accepted: {len(extraction.accepted)}", f"rejected: {len(extraction.rejected)}"]
     comments += [f"  candidate {i}: {r.cause}" for i, r in enumerate(extraction.rejected, start=1)]
     dump_rule_pairs(path, extraction.accepted, comments)
     if extraction.insights:
         write_text_atomic(path + ".insights.txt", extraction.insights + "\n")
+    return extraction
 
 
 def _evolve_one_run(payload: dict) -> dict:
@@ -188,7 +185,11 @@ def cmd_evolve(args) -> int:
             raise ConfigError("--init file requires --seeds-file")
         seed_texts = [rules_to_text(p) for p in load_rule_pairs(args.seeds_file)]
     else:  # llm
-        seed_texts = [rules_to_text(p) for p in _llm_seed_pairs(cfg, scenario, args, args.out)]
+        # One provider call in the parent; all runs share the accepted seeds.
+        extraction = _request_seeds(cfg, scenario, args, os.path.join(args.out, "llm-seeds.txt"))
+        if not extraction.accepted:
+            print("warning: no usable pairs in the reply; population will be fully random", file=sys.stderr)
+        seed_texts = [rules_to_text(p) for p in extraction.accepted]
 
     run_seeds = _derive_run_seeds(args.seed, args.run_offset, args.runs)
     payloads = [
@@ -222,13 +223,7 @@ def cmd_evolve(args) -> int:
 def cmd_init_llm(args) -> int:
     cfg = load_config(args.config)
     scenario = cfg.scenario(args.scenario)
-    provider = _provider_from_args(cfg, args).with_audit(args.out + ".audit.jsonl")
-    references = load_references(args.references) if args.references else []
-    prefs = PreferenceWeights.from_scenario(scenario)
-    n = args.n if args.n is not None else cfg.n_requested
-    prompt = build_init_prompt(scenario, references, prefs, n_requested=n)
-    extraction = extract_heuristics(query(provider, prompt))
-    _dump_extraction(args.out, extraction)
+    extraction = _request_seeds(cfg, scenario, args, args.out)
     print(
         f"accepted {len(extraction.accepted)} of {extraction.candidates} candidates -> {args.out}"
         + (f" (+{len(extraction.rejected)} rejected)" if extraction.rejected else "")
@@ -283,8 +278,7 @@ def cmd_compare(args) -> int:
     convergence: dict[str, list[float]] = {}
     for method in table.methods:
         logs = [log_from_record(r) for r in by_method[method]]
-        for log in logs:
-            gen0_lines += [f"{method},{v!r}" for v in log.gen0_fitness]
+        gen0_lines += [f"{method},{v!r}" for v in initial_fitness_distribution(logs)]
         depth = min(len(log.entries) for log in logs)
         diversity[method] = [
             sum(log.entries[g].diversity for log in logs) / len(logs) for g in range(depth)

@@ -2,10 +2,11 @@
 
 Routing and sequencing rules are immutable binary trees over thirteen
 shop-floor terminals and six arithmetic operators.  This module owns the
-tree type, evaluation (a reference interpreter, plus the generated
-source the simulator inlines into its decision loops and a compiled
-function form of it), the textual grammar, random tree generation, and
-the structural metrics everything else relies on.
+tree type, evaluation (a reference interpreter, the generated source
+the simulator inlines into its decision loops, and a compiled function
+form of that source for scoring single contexts), the textual grammar,
+random tree generation, and the structural metrics everything else
+relies on.
 
 Lower rule values are better: the simulator always picks the candidate
 with the minimum score.
@@ -264,11 +265,11 @@ def compile_expression(expr: Expression) -> Callable[..., float]:
     """Compile a tree into a plain Python function of 13 positional floats.
 
     Argument order is TERMINAL_ORDER; the body is ``expression_source``,
-    so results are bit-identical to ``evaluate``.  The simulator inlines
-    that same source into its generated decision loops instead (see
-    ``sim.engine.compile_choosers``); this standalone form serves the
-    simulator's context-capturing path, checks and callers that score
-    single contexts.
+    so results are bit-identical to ``evaluate``.  The simulator does not
+    call it: it inlines that same source into its generated decision
+    loops (see ``sim.engine.compile_choosers``), recording contexts
+    included.  This form serves checks and callers that score single
+    contexts, such as recorded ``DecisionContext.as_args()``.
     """
     src = f"def _rule({', '.join(_ARG_NAMES)}):\n    return {expression_source(expr)}\n"
     namespace: dict = {}

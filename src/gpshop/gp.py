@@ -22,6 +22,7 @@ from .expr import (
     iter_subtrees,
     random_tree,
     replace_subtree,
+    subtree_at,
 )
 from .fileio import write_text_atomic
 from .rules import RulePair
@@ -324,14 +325,8 @@ def crossover(
     tree_b = b.genome.routing if slot == 0 else b.genome.sequencing
     path_a = _biased_node_path(tree_a, rng)
     path_b = _biased_node_path(tree_b, rng)
-    sub_a = tree_a
-    for step in path_a:
-        sub_a = sub_a.left if step == 0 else sub_a.right
-    sub_b = tree_b
-    for step in path_b:
-        sub_b = sub_b.left if step == 0 else sub_b.right
-    new_a = replace_subtree(tree_a, path_a, sub_b)
-    new_b = replace_subtree(tree_b, path_b, sub_a)
+    new_a = replace_subtree(tree_a, path_a, subtree_at(tree_b, path_b))
+    new_b = replace_subtree(tree_b, path_b, subtree_at(tree_a, path_a))
     genome_a = _with_slot(a.genome, slot, new_a) if depth(new_a) <= params.max_depth else a.genome
     genome_b = _with_slot(b.genome, slot, new_b) if depth(new_b) <= params.max_depth else b.genome
     return (

@@ -7,14 +7,10 @@ from .engine import (  # noqa: F401
     QueueOverflow,
     SimOutcome,
     SimulationStalled,
-    build_routing_context,
-    build_sequencing_context,
     run_simulation,
-    simulate,
     trace_to_csv,
     validate_trace,
 )
-from .objectives import mean_objective_vectors  # noqa: F401
 from .instance import (  # noqa: F401
     Instance,
     Job,

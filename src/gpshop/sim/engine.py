@@ -34,14 +34,14 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING
 
-from ..expr import DecisionContext, compile_expression, expression_source, terminal_histogram
+from ..expr import TERMINAL_ORDER, DecisionContext, expression_source, terminal_histogram
+from ..expr import compile_expression  # noqa: F401  unused; perfbench/spans.py hooks it here by name
 from ..fileio import write_text_atomic
 from .instance import Instance, JobTables
 from .objectives import CompletedJob, ObjectiveVector, compute_objectives
 
 if TYPE_CHECKING:
     from ..rules import RulePair
-    from .config import SimConfig
 
 _READY = 0
 _ARRIVE = 1
@@ -88,87 +88,10 @@ class SimOutcome:
     contexts: list[tuple] | None = None
 
 
-def build_routing_context(
-    *,
-    time: float,
-    queue_length: float,
-    work_in_queue: float,
-    machine_ready_at: float,
-    proc_time: float,
-    transport_time: float,
-    next_median_proc_time: float,
-    work_remaining: float,
-    ops_remaining: float,
-    due: float,
-    weight: float,
-    release: float,
-) -> DecisionContext:
-    """Terminal values seen when scoring a candidate machine.
-
-    The operation is ready right now, so OWT is zero by construction and
-    TRANT is the prospective transport time to the candidate.
-    """
-    rdd = due - time
-    return DecisionContext(
-        NIQ=queue_length,
-        WIQ=work_in_queue,
-        MWT=time - machine_ready_at,
-        PT=proc_time,
-        NPT=next_median_proc_time,
-        OWT=0.0,
-        WKR=work_remaining,
-        NOR=ops_remaining,
-        rDD=rdd,
-        SLACK=rdd - work_remaining,
-        W=weight,
-        TIS=time - release,
-        TRANT=transport_time,
-    )
-
-
-def build_sequencing_context(
-    *,
-    time: float,
-    queue_length: float,
-    work_in_queue: float,
-    machine_ready_at: float,
-    proc_time: float,
-    transport_incurred: float,
-    next_median_proc_time: float,
-    work_remaining: float,
-    ops_remaining: float,
-    due: float,
-    weight: float,
-    release: float,
-    op_ready_time: float,
-) -> DecisionContext:
-    """Terminal values seen when scoring a queued operation.
-
-    TRANT is the transport time the job actually spent reaching this
-    machine; OWT counts from the moment the operation became ready.
-    """
-    rdd = due - time
-    return DecisionContext(
-        NIQ=queue_length,
-        WIQ=work_in_queue,
-        MWT=time - machine_ready_at,
-        PT=proc_time,
-        NPT=next_median_proc_time,
-        OWT=time - op_ready_time,
-        WKR=work_remaining,
-        NOR=ops_remaining,
-        rDD=rdd,
-        SLACK=rdd - work_remaining,
-        W=weight,
-        TIS=time - release,
-        TRANT=transport_incurred,
-    )
-
-
 # Statements that bind each terminal in the generated choosers.  A routing
 # decision scores the eligible machines of job j's operation k at time t;
 # a sequencing decision scores the queued operations of machine mch.
-# SLACK is (due - t) - WKR, the context builders' order of operations.
+# SLACK is (due - t) - WKR, in that order of operations.
 _JOB_TERMS = {
     "rDD": "rDD = due[j] - t",
     "SLACK": "SLACK = due[j] - t - wkr[j][k]",
@@ -190,6 +113,13 @@ _ROUTE_PER_DECISION = {
 _ROUTE_PER_MACHINE = {**_MACHINE_TERMS, "PT": "PT = pts[i]", "TRANT": "TRANT = row[mch]"}
 # PT, TRANT, NPT, WKR and NOR come unpacked from the queue entry.
 _SEQUENCE_PER_OPERATION = {**_JOB_TERMS, "OWT": "OWT = t - ready_t"}
+_TERMINAL_NAMES = tuple(t.name for t in TERMINAL_ORDER)
+# The recording line, emitted after a candidate's bindings when contexts
+# are captured; the context's fields are positional in TERMINAL_ORDER.
+_RECORD = (
+    "\n" + " " * 12 + '_record(("{kind}", t, j + 1, k, mch, _Context('
+    + ", ".join(_TERMINAL_NAMES) + ")))"
+)
 
 _CHOOSERS = """\
 def _bind(niq, wiq, mrt, release, due, weight, n_ops, npt, wkr):
@@ -234,7 +164,9 @@ def _bindings(statements: dict[str, str], reads: set[str], indent: str) -> str:
     return "\n".join(indent + stmt for name, stmt in statements.items() if name in reads)
 
 
-def compile_choosers(rules: "RulePair", niq: list, wiq: list, mrt: list, tables: JobTables):
+def compile_choosers(
+    rules: "RulePair", niq: list, wiq: list, mrt: list, tables: JobTables, record=None
+):
     """Generate the simulator's two decision functions for one rule pair.
 
     ``choose_machine(j, k, t, machs, pts, row)`` returns the index in
@@ -243,21 +175,34 @@ def compile_choosers(rules: "RulePair", niq: list, wiq: list, mrt: list, tables:
     queue entry the sequencing rule scores lowest, ties to the earliest
     ready time, then the lowest job.  Each rule's ``expression_source``
     is inlined into its candidate loop, and only the terminals it reads
-    are computed, with the values and types the context builders give
-    (NIQ and NOR are ints, OWT is 0.0 when routing).  The functions read
-    the live machine state ``niq``, ``wiq`` and ``mrt`` at call time.
+    are computed (NIQ and NOR are ints, OWT is 0.0 when routing).  The
+    functions read the live machine state ``niq``, ``wiq`` and ``mrt`` at
+    call time.  Given ``record``, every terminal is computed and each
+    candidate is passed to it before it is scored, as (kind, time,
+    job_id, op_index, machine, DecisionContext) with kind "route" or
+    "sequence"; the decisions themselves are the same.
     """
-    route_reads = {t.name for t in terminal_histogram(rules.routing)}
-    sequence_reads = {t.name for t in terminal_histogram(rules.sequencing)}
+    if record is None:
+        route_reads = {t.name for t in terminal_histogram(rules.routing)}
+        sequence_reads = {t.name for t in terminal_histogram(rules.sequencing)}
+    else:
+        route_reads = sequence_reads = set(_TERMINAL_NAMES)
+    route_machine = _bindings(_ROUTE_PER_MACHINE, route_reads, " " * 12)
+    sequence_operation = _bindings(_SEQUENCE_PER_OPERATION, sequence_reads, " " * 12)
+    if record is not None:
+        route_machine += _RECORD.format(kind="route")
+        sequence_operation += _RECORD.format(kind="sequence")
     src = _CHOOSERS.format(
         route_decision=_bindings(_ROUTE_PER_DECISION, route_reads, " " * 8),
-        route_machine=_bindings(_ROUTE_PER_MACHINE, route_reads, " " * 12),
+        route_machine=route_machine,
         route_body=expression_source(rules.routing),
         sequence_decision=_bindings(_MACHINE_TERMS, sequence_reads, " " * 8),
-        sequence_operation=_bindings(_SEQUENCE_PER_OPERATION, sequence_reads, " " * 12),
+        sequence_operation=sequence_operation,
         sequence_body=expression_source(rules.sequencing),
     )
-    namespace: dict = {"_INF": _INF, "NonFiniteScore": NonFiniteScore}
+    namespace: dict = {
+        "_INF": _INF, "NonFiniteScore": NonFiniteScore, "_record": record, "_Context": DecisionContext
+    }
     exec(compile(src, "<choosers>", "exec"), namespace)
     return namespace["_bind"](
         niq, wiq, mrt, tables.release, tables.due, tables.weight, tables.n_ops, tables.npt, tables.wkr
@@ -267,27 +212,23 @@ def compile_choosers(rules: "RulePair", niq: list, wiq: list, mrt: list, tables:
 def run_simulation(
     rules: "RulePair",
     instance: Instance,
-    config: "SimConfig | None" = None,
     record_trace: bool = False,
     capture_contexts: bool = False,
     max_queue: int | None = None,
 ) -> SimOutcome:
-    """Simulate one instance under a rule pair.
+    """Simulate one instance under a rule pair, with the instance's config.
 
-    ``config`` defaults to the instance's own; overriding is only
-    meaningful for fields that do not shape the job stream (warm-up
-    count, transport speed).  Decisions are made by the two functions
-    ``compile_choosers`` generates for this rule pair, once per call; the
-    job data comes from ``instance.tables``, built on the instance's
-    first simulation.  With ``capture_contexts`` each candidate is instead
-    scored by ``compile_expression``'s form of the rule on the public
-    context builders' output, and every scored decision is recorded as
+    Decisions are made by the two functions ``compile_choosers``
+    generates for this rule pair, once per call; the job data comes from
+    ``instance.tables``, built on the instance's first simulation.  With
+    ``capture_contexts`` the choosers are generated in their recording
+    form, and every scored candidate lands in ``SimOutcome.contexts`` as
     (kind, time, job_id, op_index, machine, DecisionContext); decisions
     are identical either way, which tests pin.  ``max_queue`` aborts the
     run with QueueOverflow once any machine holds more committed
     operations, which fitness evaluators use to prune degenerate rules.
     """
-    cfg = config if config is not None else instance.config
+    cfg = instance.config
 
     speed = cfg.transport_speed
     tables = instance.tables
@@ -327,72 +268,8 @@ def run_simulation(
     end_time = 0.0
     queue_limit = _INF if max_queue is None else max_queue
 
-    if contexts is None:
-        choose_machine, choose_op = compile_choosers(rules, niq, wiq, mrt, tables)
-    else:
-        route_fn = compile_expression(rules.routing)
-        seq_fn = compile_expression(rules.sequencing)
-
-        def choose_machine(j: int, k: int, t: float, machs, pts, row) -> int:
-            best = _INF
-            chosen = 0
-            for i in range(len(machs)):
-                mch = machs[i]
-                ctx = build_routing_context(
-                    time=t,
-                    queue_length=niq[mch],
-                    work_in_queue=wiq[mch],
-                    machine_ready_at=mrt[mch],
-                    proc_time=pts[i],
-                    transport_time=row[mch],
-                    next_median_proc_time=ops_npt[j][k],
-                    work_remaining=ops_wkr[j][k],
-                    ops_remaining=n_ops[j] - k,
-                    due=due[j],
-                    weight=weight[j],
-                    release=release[j],
-                )
-                contexts.append(("route", t, j + 1, k, mch, ctx))
-                s = route_fn(*ctx.as_args())
-                if not (-_INF < s < _INF):
-                    raise NonFiniteScore(f"routing rule returned {s!r}")
-                if s < best:
-                    best = s
-                    chosen = i
-            return chosen
-
-        def choose_op(queue: list, mch: int, t: float) -> int:
-            best = _INF
-            best_ready = _INF
-            best_job = -1
-            idx = 0
-            for i in range(len(queue)):
-                j, k, ready_t, pt, trant, npt, wkr, nor = queue[i]
-                ctx = build_sequencing_context(
-                    time=t,
-                    queue_length=niq[mch],
-                    work_in_queue=wiq[mch],
-                    machine_ready_at=mrt[mch],
-                    proc_time=pt,
-                    transport_incurred=trant,
-                    next_median_proc_time=npt,
-                    work_remaining=wkr,
-                    ops_remaining=nor,
-                    due=due[j],
-                    weight=weight[j],
-                    release=release[j],
-                    op_ready_time=ready_t,
-                )
-                contexts.append(("sequence", t, j + 1, k, mch, ctx))
-                s = seq_fn(*ctx.as_args())
-                if not (-_INF < s < _INF):
-                    raise NonFiniteScore(f"sequencing rule returned {s!r}")
-                if s < best or (s == best and (ready_t, j) < (best_ready, best_job)):
-                    best = s
-                    best_ready = ready_t
-                    best_job = j
-                    idx = i
-            return idx
+    record = None if contexts is None else contexts.append
+    choose_machine, choose_op = compile_choosers(rules, niq, wiq, mrt, tables, record)
 
     def route_op(j: int, t: float) -> None:
         nonlocal seq_counter
@@ -478,11 +355,6 @@ def run_simulation(
         trace=trace,
         contexts=contexts,
     )
-
-
-def simulate(rules: "RulePair", instance: Instance, config: "SimConfig | None" = None) -> ObjectiveVector:
-    """Objectives of one rule pair on one instance."""
-    return run_simulation(rules, instance, config).objectives
 
 
 def validate_trace(trace: list[tuple], instance: Instance) -> list[str]:

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..errors import ConfigError
 from .config import OBJECTIVE_KEYS, Scenario
@@ -100,16 +100,3 @@ def weighted_fitness(
         total += lam * (objectives.get(key) / ref)
     return total
 
-
-def mean_objective_vectors(vectors: Sequence[ObjectiveVector]) -> ObjectiveVector:
-    """Componentwise mean, used to average over test seeds."""
-    if not vectors:
-        raise ValueError("need at least one vector")
-    n = len(vectors)
-    return ObjectiveVector(
-        Tmax=sum(v.Tmax for v in vectors) / n,
-        Tmean=sum(v.Tmean for v in vectors) / n,
-        Fmean=sum(v.Fmean for v in vectors) / n,
-        WTmean=sum(v.WTmean for v in vectors) / n,
-        WFmean=sum(v.WFmean for v in vectors) / n,
-    )

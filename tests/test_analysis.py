@@ -14,7 +14,6 @@ from gpshop.analysis import (
     ComparisonCell,
     RunRecord,
     _midranks,
-    diversity_series,
     exact_rank_sum_p,
     friedman_ranks,
     initial_fitness_distribution,
@@ -24,7 +23,7 @@ from gpshop.analysis import (
     wilcoxon_rank_sum,
 )
 from gpshop.errors import DataError
-from gpshop.gp import EvolutionLog, GenerationStats
+from gpshop.gp import EvolutionLog
 from gpshop.rules import RulePair
 
 
@@ -260,18 +259,6 @@ class TestSummarize:
         assert "2.0000 (1.0000)" in lines[1]
 
 
-def stats(gen: int, diversity: float) -> GenerationStats:
-    return GenerationStats(
-        generation=gen,
-        best_fitness=1.0,
-        mean_fitness=2.0,
-        diversity=diversity,
-        best_routing="WIQ",
-        best_sequencing="PT",
-        wall_time=0.0,
-    )
-
-
 class TestFigureData:
     def test_initial_fitness_distribution(self):
         logs = [
@@ -297,16 +284,6 @@ class TestFigureData:
         assert sum(report["sequencing"].values()) == pytest.approx((1 + 2) / 2)
         with pytest.raises(DataError):
             terminal_frequency_report([])
-
-    def test_diversity_series(self):
-        log_a = EvolutionLog(entries=[stats(0, 1.0), stats(1, 0.5)])
-        log_b = EvolutionLog(entries=[stats(0, 0.5), stats(1, 0.25)])
-        assert diversity_series([log_a, log_b]) == [0.75, 0.375]
-        assert diversity_series([log_a]) == [1.0, 0.5]
-        with pytest.raises(DataError):
-            diversity_series([])
-        with pytest.raises(DataError):
-            diversity_series([log_a, EvolutionLog(entries=[stats(0, 1.0)])])
 
     def test_comparison_cell_is_plain_data(self):
         cell = ComparisonCell(mean=1.0, std=0.5, marker=BETTER)

@@ -6,7 +6,9 @@ is in tests/data/golden_schedule.md.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpshop.errors import ConfigError, DataError
-from gpshop.expr import TERMINAL_ORDER, parse, random_tree
+from gpshop.expr import TERMINAL_ORDER, evaluate, parse, random_tree
 from gpshop.rules import RulePair
 from gpshop.sim import (
     CompletedJob,
@@ -30,9 +32,7 @@ from gpshop.sim import (
     dump_instance,
     generate_instance,
     load_instance,
-    mean_objective_vectors,
     run_simulation,
-    simulate,
     validate_trace,
     weighted_fitness,
 )
@@ -127,11 +127,6 @@ class TestGoldenSchedule:
             )
             assert fast.objectives == slow.objectives
             assert fast.trace == slow.trace
-
-    def test_simulate_wrapper(self, golden_instance):
-        assert simulate(FIFO_RULES, golden_instance) == run_simulation(
-            FIFO_RULES, golden_instance
-        ).objectives
 
 
 def _routing_probe_instance() -> Instance:
@@ -264,14 +259,6 @@ class TestObjectives:
         with pytest.raises(ConfigError):
             weighted_fitness(obj, scenario, zero_ref)
 
-    def test_mean_objective_vectors(self):
-        a = ObjectiveVector(Tmax=2.0, Tmean=1.0, Fmean=4.0, WTmean=6.0, WFmean=8.0)
-        b = ObjectiveVector(Tmax=4.0, Tmean=3.0, Fmean=8.0, WTmean=2.0, WFmean=0.0)
-        mean = mean_objective_vectors([a, b])
-        assert mean == ObjectiveVector(Tmax=3.0, Tmean=2.0, Fmean=6.0, WTmean=4.0, WFmean=4.0)
-        with pytest.raises(ValueError):
-            mean_objective_vectors([])
-
 
 class TestArrivalRate:
     def test_default_setup_value(self):
@@ -398,7 +385,10 @@ class TestPersistence:
         path = tmp_path / "golden.jsonl"
         dump_instance(golden_instance, str(path))
         loaded = load_instance(str(path))
-        assert simulate(FIFO_RULES, loaded) == simulate(FIFO_RULES, golden_instance)
+        assert (
+            run_simulation(FIFO_RULES, loaded).objectives
+            == run_simulation(FIFO_RULES, golden_instance).objectives
+        )
 
     def test_load_errors(self, tmp_path):
         with pytest.raises(DataError):
@@ -446,7 +436,7 @@ class TestEngineBehaviour:
         inst = generate_instance(SimConfig(num_machines=3, total_jobs=30, warmup_jobs=0), seed=19)
         full = run_simulation(FIFO_RULES, inst)
         trimmed = run_simulation(
-            FIFO_RULES, inst, config=inst.config.with_overrides(warmup_jobs=10)
+            FIFO_RULES, replace(inst, config=inst.config.with_overrides(warmup_jobs=10))
         )
         survivors = [c for c in full.completed if c.job_id > 10]
         assert trimmed.objectives == compute_objectives(survivors)
@@ -596,13 +586,45 @@ def _rule_trees(draw):
     return random_tree(rng, mode=mode, depth_range=(1, draw(st.integers(1, 8))))
 
 
-def _decisions(rules: RulePair, **kwargs):
+def _decisions(rules: RulePair):
     """repr of objectives and trace, or where the queue guard aborted the run."""
     try:
-        out = run_simulation(rules, _GUARD_INSTANCE, record_trace=True, max_queue=12, **kwargs)
+        out = run_simulation(rules, _GUARD_INSTANCE, record_trace=True, max_queue=12)
     except QueueOverflow as exc:
         return ("abort", exc.machine, exc.time)
     return repr(out.objectives), repr(out.trace)
+
+
+def _assert_choices_are_argmins(rules: RulePair, out) -> None:
+    """Re-score every recorded decision with ``evaluate``; the trace's choice must win.
+
+    Routing ties go to the lowest candidate index, dispatch ties to the
+    earliest ready time and then the lowest job.  A ready time is the
+    completion of the job's previous operation, or its release.
+    """
+    starts = {(j, k): (t, mch) for t, mch, j, k, kind in out.trace if kind == "start"}
+    started_at = {where: op for op, where in starts.items()}
+    ready = {(j, k + 1): t for t, _, j, k, kind in out.trace if kind == "complete"}
+    ready.update({(job.id, 0): job.release for job in _GUARD_INSTANCE.jobs})
+
+    def decision(c):
+        return (c[0], c[1], c[2], c[3]) if c[0] == "route" else (c[0], c[1], c[4])
+
+    for (kind, t, *_), group in itertools.groupby(out.contexts, key=decision):
+        group = list(group)
+        if kind == "route":
+            _, _, j, k, _, _ = group[0]
+            scores = [evaluate(rules.routing, ctx) for *_, ctx in group]
+            best = min(range(len(group)), key=scores.__getitem__)
+            assert starts[(j, k)][1] == group[best][4]
+        else:
+            mch = group[0][4]
+            keys = {
+                (j, k): (evaluate(rules.sequencing, ctx), ready[(j, k)], j)
+                for _, _, j, k, _, ctx in group
+            }
+            assert len(keys) == len(group)
+            assert started_at[(t, mch)] == min(keys, key=keys.__getitem__)
 
 
 class TestEngineProperties:
@@ -623,15 +645,23 @@ class TestEngineProperties:
     @settings(max_examples=60, deadline=None)
     @given(routing=_rule_trees(), sequencing=_rule_trees())
     def test_capture_never_changes_decisions(self, routing, sequencing):
-        """The generated choosers decide as the context-capturing path does.
+        """Recording contexts changes no decision, and every decision is an argmin.
 
-        The capture path scores each candidate with ``compile_expression``
-        on the public context builders' output, so it is the oracle for
-        the inlined rules; guard aborts must hit the same machine and time.
+        Guard aborts must hit the same machine and time.  The argmin check
+        re-scores the recorded contexts with the interpreter, so it does
+        not trust the generated choosers.
         """
         rules = RulePair(routing=routing, sequencing=sequencing)
         fast = _decisions(rules)
-        assert fast == _decisions(rules, capture_contexts=True)
+        try:
+            out = run_simulation(
+                rules, _GUARD_INSTANCE, record_trace=True, capture_contexts=True, max_queue=12
+            )
+        except QueueOverflow as exc:
+            assert fast == ("abort", exc.machine, exc.time)
+            return
+        assert fast == (repr(out.objectives), repr(out.trace))
+        _assert_choices_are_argmins(rules, out)
 
     def test_objectives_digest_is_pinned(self):
         """24 random pairs of depth 1-8; the digest was computed before the choosers existed."""
