@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING
 
@@ -122,7 +123,7 @@ _RECORD = (
 )
 
 _CHOOSERS = """\
-def _bind(niq, wiq, mrt, release, due, weight, n_ops, npt, wkr):
+def _bind(niq, wiq, mrt, release, due, weight, n_ops, npt, wkr, _record):
     def choose_machine(j, k, t, machs, pts, row):
 {route_decision}
         best = _INF
@@ -180,7 +181,9 @@ def compile_choosers(
     call time.  Given ``record``, every terminal is computed and each
     candidate is passed to it before it is scored, as (kind, time,
     job_id, op_index, machine, DecisionContext) with kind "route" or
-    "sequence"; the decisions themselves are the same.
+    "sequence"; the decisions themselves are the same.  The generated
+    source is compiled once and the compiled factory kept, so a pair met
+    again, on another seed or instance, is only rebound.
     """
     if record is None:
         route_reads = {t.name for t in terminal_histogram(rules.routing)}
@@ -200,13 +203,17 @@ def compile_choosers(
         sequence_operation=sequence_operation,
         sequence_body=expression_source(rules.sequencing),
     )
-    namespace: dict = {
-        "_INF": _INF, "NonFiniteScore": NonFiniteScore, "_record": record, "_Context": DecisionContext
-    }
-    exec(compile(src, "<choosers>", "exec"), namespace)
-    return namespace["_bind"](
-        niq, wiq, mrt, tables.release, tables.due, tables.weight, tables.n_ops, tables.npt, tables.wkr
+    return _compiled_bind(src)(
+        niq, wiq, mrt, tables.release, tables.due, tables.weight, tables.n_ops, tables.npt, tables.wkr, record
     )
+
+
+@lru_cache(maxsize=256)
+def _compiled_bind(src: str):
+    """The ``_bind`` factory that ``src`` defines, compiled once per source."""
+    namespace: dict = {"_INF": _INF, "NonFiniteScore": NonFiniteScore, "_Context": DecisionContext}
+    exec(compile(src, "<choosers>", "exec"), namespace)
+    return namespace["_bind"]
 
 
 def run_simulation(
@@ -219,7 +226,7 @@ def run_simulation(
     """Simulate one instance under a rule pair, with the instance's config.
 
     Decisions are made by the two functions ``compile_choosers``
-    generates for this rule pair, once per call; the job data comes from
+    binds for this rule pair, once per call; the job data comes from
     ``instance.tables``, built on the instance's first simulation.  With
     ``capture_contexts`` the choosers are generated in their recording
     form, and every scored candidate lands in ``SimOutcome.contexts`` as

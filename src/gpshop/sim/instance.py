@@ -6,9 +6,8 @@ rates, transport distances and the full job stream.  Identical
 """
 from __future__ import annotations
 
-import bisect
-import itertools
 import json
+import math
 import statistics
 from dataclasses import dataclass
 from functools import cached_property
@@ -129,160 +128,104 @@ def arrival_rate_for_utilization(config: SimConfig) -> float:
     return config.utilization * config.num_machines / (mean_ops * mean_proc)
 
 
-def _halves(raw):
-    """32-bit draws as numpy's PCG64 makes them: low, then high half."""
-    while True:
-        word = raw()
-        yield word & 0xFFFFFFFF
-        yield word >> 32
+# Eligibility keys drawn per block: a wide shop's keys, ops x machines,
+# are never all held at once.
+_KEY_BLOCK = 2**20
 
 
-def _integer_drawer(bit_generator):
-    """Return ``draw(r)``, a uniform integer on [0, r] for 0 <= r < 2**63.
+def _eligible_machines(rng: np.random.Generator, m: int, sizes: np.ndarray) -> np.ndarray:
+    """Each operation's eligible machines, concatenated in operation order.
 
-    ``draw`` consumes raw PCG64 words exactly as ``Generator.integers``
-    does, so it can be mixed with numpy's own 64-bit draws
-    (``exponential``, ``random``) as long as numpy has made no 32-bit
-    draw on the generator.  A range of 0 draws nothing.  A range below
-    2**32 is Lemire's method on 32-bit draws, each the low and then the
-    high half of one raw word; the unused high half waits for the next
-    32-bit draw, across any 64-bit draws in between, as numpy's buffer
-    does.  A wider range is Lemire's method on whole raw words.
+    An operation of size k draws one uniform key per machine, ``random``
+    on a (block rows, m) array, and takes the k machines with the lowest
+    keys (ties to the lower index), listed in ascending machine order.
+    Blocks hold ``_KEY_BLOCK // m`` operations, at least one.
     """
-    raw = bit_generator.random_raw
-    half = _halves(raw).__next__
-
-    def draw(r: int) -> int:
-        if r == 0:
-            return 0
-        n = r + 1
-        if r > 0xFFFFFFFF:
-            prod = raw() * n
-            while prod & 0xFFFFFFFFFFFFFFFF < n and prod & 0xFFFFFFFFFFFFFFFF < (1 << 64) % n:
-                prod = raw() * n
-            return prod >> 64
-        prod = half() * n
-        while prod & 0xFFFFFFFF < n and prod & 0xFFFFFFFF < (1 << 32) % n:
-            prod = half() * n
-        return prod >> 32
-
-    return draw
-
-
-def _sample_machines(draw, m: int, k: int) -> tuple[int, ...]:
-    """Sorted k of range(m), as ``sorted(rng.choice(m, k, replace=False))``.
-
-    numpy picks the set with Floyd's algorithm (k draws on [0, j] for
-    j = m - k .. m - 1), then shuffles it (k - 1 draws on [0, i] for
-    i = k - 1 .. 1), whose outcome sorting discards.  Above 10,000
-    elements with k > m // 50 it instead shuffles the tail of range(m).
-    """
-    if m > 10000 and k > m // 50:
-        pool = list(range(m))
-        for i in range(m - 1, max(m - k, 1) - 1, -1):
-            j = draw(i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return tuple(sorted(pool[m - k:]))
-    chosen = set()
-    for j in range(m - k, m):
-        v = draw(j)
-        chosen.add(j if v in chosen else v)
-    for i in range(k - 1, 0, -1):
-        draw(i)
-    return tuple(sorted(chosen))
-
-
-def _low_and_span(lo, hi) -> tuple[int, int]:
-    """Offset and range of ``integers(lo, hi + 1)``, which applies int() to both bounds."""
-    low = int(lo)
-    return low, int(hi + 1) - 1 - low
+    rows = max(1, _KEY_BLOCK // m)
+    chosen = []
+    for start in range(0, len(sizes), rows):
+        k = sizes[start:start + rows]
+        keys = rng.random((len(k), m))
+        rank = np.argsort(np.argsort(keys, axis=1, kind="stable"), axis=1)
+        chosen.append(np.nonzero(rank < k[:, None])[1])
+    return np.concatenate(chosen)
 
 
 def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
-    """Sample a full instance from one PCG64 stream seeded with ``seed``.
+    """Sample a full instance from ``np.random.default_rng(seed)``.
 
-    The stream is the one numpy's ``default_rng(seed)`` calls would
-    consume; integers are drawn in Python from its raw words (see
-    ``_integer_drawer``), the rest by numpy.  Draw order, fixed for
-    reproducibility:
+    Each field is one vectorised draw, in this order, fixed for
+    reproducibility (m machines, n jobs, N operations in all):
 
-    1. ``uniform(*rate_range, size=m)``: one double per machine rate;
-    2. entry distances, then pairwise distances (upper triangle, row by
-       row), each ``integers(d_lo, d_hi + 1)``;
-    3. per job: the inter-arrival gap ``exponential(1 / lambda)``; the
-       operation count ``integers(ops_lo, ops_hi + 1)``; per operation
-       the workload ``integers(wl_lo, wl_hi + 1)``, the eligible-set
-       size ``integers(1, m + 1)`` and the eligible set
-       ``choice(m, size, replace=False)`` (see ``_sample_machines``);
-       then the weight, ``choice(weights, p=probs)``: one double
-       ``(raw >> 11) * 2**-53`` located with ``bisect_right`` in the
-       cumulative probabilities divided by their total.
+    1. machine rates, ``uniform(*rate_range, size=m)``;
+    2. distances, ``integers(d_lo, d_hi + 1, size=m * (m + 1) // 2)``:
+       the m entry distances, then the pairwise ones (upper triangle, row
+       by row);
+    3. inter-arrival gaps, ``exponential(1 / lambda, size=n)``; releases
+       are their cumulative sum;
+    4. operation counts, ``integers(ops_lo, ops_hi + 1, size=n)``;
+    5. workloads, ``integers(wl_lo, wl_hi + 1, size=N)``;
+    6. eligible-set sizes, ``integers(1, m + 1, size=N)``;
+    7. eligibility keys, ``random`` in blocks of at most ``_KEY_BLOCK``
+       keys (see ``_eligible_machines``);
+    8. weights, ``choice(weights, size=n, p=probs)``.
+
+    Every job's gap is drawn before any operation, so an instance with
+    fewer jobs is not a prefix of one with more.  Integral float bounds
+    give the same instance as int bounds.  A median is
+    ``statistics.median`` of the operation's processing times, and a due
+    date is ``release + due_date_factor * total_median``, the medians
+    summed in operation order.
     """
     if seed is None:
         seed = config.seed
     rng = np.random.default_rng(seed)
-    m = config.num_machines
+    m, n = config.num_machines, config.total_jobs
 
-    rates = tuple(float(r) for r in rng.uniform(*config.rate_range, size=m))
+    def integers(bounds, size):
+        lo, hi = bounds
+        return rng.integers(int(lo), int(hi) + 1, size=size)
 
-    draw = _integer_drawer(rng.bit_generator)
-    d_lo, d_span = _low_and_span(*config.distance_range)
-    entry = tuple(float(d_lo + draw(d_span)) for _ in range(m))
-    dist = [[0.0] * m for _ in range(m)]
+    rates = rng.uniform(*config.rate_range, size=m)
+    distances = integers(config.distance_range, m * (m + 1) // 2).astype(float)
+    releases = np.cumsum(rng.exponential(1.0 / arrival_rate_for_utilization(config), size=n))
+    n_ops = integers(config.ops_per_job_range, n)
+    workloads = integers(config.workload_range, int(n_ops.sum())).astype(float)
+    sizes = rng.integers(1, m + 1, size=len(workloads))
+    machines = _eligible_machines(rng, m, sizes)
+    weights = rng.choice([int(w) for w, _ in config.weight_mix], size=n, p=[p for _, p in config.weight_mix])
+
+    # Row i takes its lower part from column i of the rows above, so the
+    # matrix holds each pairwise distance once.
+    machine_distances = []
+    start = m
     for i in range(m):
-        for j in range(i + 1, m):
-            d = float(d_lo + draw(d_span))
-            dist[i][j] = d
-            dist[j][i] = d
-    machine_distances = tuple(tuple(row) for row in dist)
+        right = distances[start:start + m - 1 - i].tolist()
+        machine_distances.append(tuple([row[i] for row in machine_distances] + [0.0] + right))
+        start += m - 1 - i
 
-    scale = 1.0 / arrival_rate_for_utilization(config)
-    ops_lo, ops_span = _low_and_span(*config.ops_per_job_range)
-    wl_lo, wl_span = _low_and_span(*config.workload_range)
-    weights = [w for w, _ in config.weight_mix]
-    cdf = list(itertools.accumulate(float(p) for _, p in config.weight_mix))
-    cdf = [c / cdf[-1] for c in cdf]
-    raw = rng.bit_generator.random_raw
-    exponential = rng.exponential
-
+    proc = (np.repeat(workloads, sizes) / rates[machines]).tolist()
+    machines, ends = machines.tolist(), np.cumsum(sizes)
+    ops = []
+    for workload, a, b in zip(workloads.tolist(), (ends - sizes).tolist(), ends.tolist()):
+        times = tuple(proc[a:b])
+        ops.append(Operation(workload, tuple(machines[a:b]), times, statistics.median(times)))
     jobs = []
-    clock = 0.0
-    for job_id in range(1, config.total_jobs + 1):
-        clock += float(exponential(scale))
-        operations = []
+    first = 0
+    for job_id, release, count, weight in zip(range(1, n + 1), releases.tolist(), n_ops.tolist(), weights.tolist()):
+        operations = tuple(ops[first:first + count])
         total_median = 0.0
-        for _ in range(ops_lo + draw(ops_span)):
-            workload = float(wl_lo + draw(wl_span))
-            members = _sample_machines(draw, m, 1 + draw(m - 1))
-            proc_times = tuple(workload / rates[idx] for idx in members)
-            median = statistics.median(proc_times)
-            operations.append(
-                Operation(
-                    workload=workload,
-                    machines=members,
-                    proc_times=proc_times,
-                    median_proc_time=median,
-                )
-            )
-            total_median += median
-        weight = int(weights[bisect.bisect_right(cdf, (raw() >> 11) * 2.0**-53)])
-        due = clock + config.due_date_factor * total_median
-        jobs.append(
-            Job(
-                id=job_id,
-                release=clock,
-                weight=weight,
-                due=due,
-                operations=tuple(operations),
-            )
-        )
+        for op in operations:
+            total_median += op.median_proc_time
+        jobs.append(Job(job_id, release, weight, release + config.due_date_factor * total_median, operations))
+        first += count
 
     return Instance(
         config=config,
         seed=seed,
-        machine_rates=rates,
-        entry_distances=entry,
-        machine_distances=machine_distances,
+        machine_rates=tuple(rates.tolist()),
+        entry_distances=tuple(distances[:m].tolist()),
+        machine_distances=tuple(machine_distances),
         jobs=tuple(jobs),
     )
 
@@ -362,7 +305,48 @@ def dump_instance(instance: Instance, path: str) -> None:
     write_text_atomic(path, "".join(lines))
 
 
+def _check_instance(instance: Instance) -> None:
+    """Raise ValueError where ``instance`` breaks what ``generate_instance`` guarantees."""
+    config = instance.config
+    m = config.num_machines
+    rates = instance.machine_rates
+    if len(rates) != m or len(instance.entry_distances) != m:
+        raise ValueError(f"expected {m} machine rates and {m} entry distances")
+    if not all(0 < r < math.inf for r in rates):
+        raise ValueError("machine rates must be positive and finite")
+    if len(instance.machine_distances) != m or any(len(row) != m for row in instance.machine_distances):
+        raise ValueError(f"the distance matrix must be {m} x {m}")
+    if not all(0 <= d < math.inf for row in (instance.entry_distances, *instance.machine_distances) for d in row):
+        raise ValueError("distances must be non-negative and finite")
+    weights = {w for w, _ in config.weight_mix}
+    previous = -math.inf
+    for position, job in enumerate(instance.jobs, 1):
+        if job.id != position:
+            raise ValueError(f"job ids must run 1..n in order; job {position} has id {job.id}")
+        if not job.release >= previous:
+            raise ValueError(f"job {job.id}: release {job.release} is before the previous job's")
+        previous = job.release
+        if job.weight not in weights:
+            raise ValueError(f"job {job.id}: weight {job.weight} is not in the weight mix")
+        if not job.operations:
+            raise ValueError(f"job {job.id} has no operations")
+        total_median = 0.0
+        for k, op in enumerate(job.operations):
+            where = f"job {job.id} op {k}"
+            machines = op.machines
+            if not (machines and list(machines) == sorted(set(machines)) and 0 <= machines[0] and machines[-1] < m):
+                raise ValueError(f"{where}: machines {list(machines)} must be sorted, unique and in range({m})")
+            if op.proc_times != tuple(op.workload / rates[i] for i in machines):
+                raise ValueError(f"{where}: processing times are not workload / machine rate")
+            if op.median_proc_time != statistics.median(op.proc_times):
+                raise ValueError(f"{where}: median {op.median_proc_time} is not the processing times' median")
+            total_median += op.median_proc_time
+        if job.due != job.release + config.due_date_factor * total_median:
+            raise ValueError(f"job {job.id}: due date is not release + due_date_factor * total median")
+
+
 def load_instance(path: str) -> Instance:
+    """Read an instance written by ``dump_instance``; DataError if it is unreadable or inconsistent."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -396,7 +380,7 @@ def load_instance(path: str) -> Instance:
                     operations=operations,
                 )
             )
-        return Instance(
+        instance = Instance(
             config=config,
             seed=header["seed"],
             machine_rates=tuple(header["machine_rates"]),
@@ -404,6 +388,8 @@ def load_instance(path: str) -> Instance:
             machine_distances=tuple(tuple(row) for row in header["machine_distances"]),
             jobs=tuple(jobs),
         )
+        _check_instance(instance)
+        return instance
     except DataError:
         raise
     except (KeyError, ValueError, TypeError) as exc:

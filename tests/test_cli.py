@@ -171,6 +171,17 @@ class TestSimulate:
         two.write_text("routing: WIQ\nsequencing: PT\n\nrouting: PT\nsequencing: WIQ\n")
         assert main(["simulate", "--rules", str(two), "--instance", str(inst_path)]) == 4
 
+    def test_out_of_range_machine_exit_4(self, ws, golden_files, capsys):
+        inst_path, rules_path = golden_files
+        header, first, *rest = inst_path.read_text().splitlines(keepends=True)
+        job = json.loads(first)
+        job["ops"][0].update(machines=[0, 7], proc_times=[30.0, 30.0])
+        bad = ws / "bad-machine.jsonl"
+        bad.write_text(header + json.dumps(job) + "\n" + "".join(rest))
+        assert main(["simulate", "--rules", str(rules_path), "--instance", str(bad)]) == 4
+        err = capsys.readouterr().err
+        assert "data error" in err and "bad-machine.jsonl" in err and "range(2)" in err
+
     def test_missing_instance_exit_4(self, ws, golden_files):
         _, rules_path = golden_files
         assert main(["simulate", "--rules", str(rules_path), "--instance", str(ws / "ghost.jsonl")]) == 4

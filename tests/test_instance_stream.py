@@ -1,69 +1,48 @@
 """The random stream behind generate_instance.
 
-generate_instance draws its integers in Python from raw PCG64 words.
-These tests hold it to the numpy-call generator it replaced, kept here
-as an oracle, and pin two dumps by digest so that a numpy release that
-changes PCG64 or ``exponential`` fails here rather than silently.
+generate_instance draws each field in one vectorised numpy call.  These
+tests hold every instance it makes to the invariants the simulator relies
+on, check that eligible sets are uniform, and pin two dumps by digest so
+that a numpy release that changes PCG64 or one of the draws used fails
+here rather than silently.
 """
 from __future__ import annotations
 
 import hashlib
+import math
 import statistics
+from collections import Counter
+from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from gpshop.sim import Instance, Job, Operation, SimConfig, dump_instance, generate_instance
-from gpshop.sim.instance import _integer_drawer, _sample_machines, arrival_rate_for_utilization
+from gpshop.sim import Instance, SimConfig, dump_instance, generate_instance
+from gpshop.sim import instance as instance_mod
 
 
-def numpy_call_instance(config: SimConfig, seed: int) -> Instance:
-    """The former generate_instance: one numpy call per draw."""
-    rng = np.random.default_rng(seed)
+def assert_invariants(inst: Instance) -> None:
+    config = inst.config
     m = config.num_machines
-    rates = tuple(float(r) for r in rng.uniform(*config.rate_range, size=m))
-    d_lo, d_hi = config.distance_range
-    entry = tuple(float(d) for d in rng.integers(d_lo, d_hi + 1, size=m))
-    dist = [[0.0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = float(rng.integers(d_lo, d_hi + 1))
-            dist[i][j] = d
-            dist[j][i] = d
-    lam = arrival_rate_for_utilization(config)
-    ops_lo, ops_hi = config.ops_per_job_range
-    wl_lo, wl_hi = config.workload_range
-    weights = np.array([w for w, _ in config.weight_mix])
-    probs = np.array([p for _, p in config.weight_mix])
-    jobs = []
-    clock = 0.0
-    for job_id in range(1, config.total_jobs + 1):
-        clock += float(rng.exponential(1.0 / lam))
-        n_ops = int(rng.integers(ops_lo, ops_hi + 1))
-        operations = []
+    rates = inst.machine_rates
+    weights = {w for w, p in config.weight_mix if p > 0}
+    assert len(inst.jobs) == config.total_jobs
+    previous = 0.0
+    for job_id, job in enumerate(inst.jobs, 1):
+        assert job.id == job_id
+        assert job.release >= previous
+        previous = job.release
+        assert job.weight in weights
         total_median = 0.0
-        for _ in range(n_ops):
-            workload = float(rng.integers(wl_lo, wl_hi + 1))
-            k = int(rng.integers(1, m + 1))
-            members = tuple(sorted(int(x) for x in rng.choice(m, size=k, replace=False)))
-            proc_times = tuple(workload / rates[idx] for idx in members)
-            median = statistics.median(proc_times)
-            operations.append(Operation(workload, members, proc_times, median))
-            total_median += median
-        weight = int(rng.choice(weights, p=probs))
-        due = clock + config.due_date_factor * total_median
-        jobs.append(Job(job_id, clock, weight, due, tuple(operations)))
-    return Instance(
-        config=config,
-        seed=seed,
-        machine_rates=rates,
-        entry_distances=entry,
-        machine_distances=tuple(tuple(row) for row in dist),
-        jobs=tuple(jobs),
-    )
+        for op in job.operations:
+            assert op.machines == tuple(sorted(set(op.machines)))
+            assert 0 <= op.machines[0] and op.machines[-1] < m
+            assert op.proc_times == tuple(op.workload / rates[i] for i in op.machines)
+            assert op.median_proc_time == statistics.median(op.proc_times)
+            total_median += op.median_proc_time
+        assert job.due == job.release + config.due_date_factor * total_median
 
 
-ORACLE_CONFIGS = {
+INVARIANT_CONFIGS = {
     **{f"m{m}": SimConfig(num_machines=m, total_jobs=40, warmup_jobs=4) for m in (1, 2, 3, 10, 17)},
     "fixed-ops": SimConfig(num_machines=4, total_jobs=40, warmup_jobs=4, ops_per_job_range=(3, 3)),
     "one-weight": SimConfig(num_machines=4, total_jobs=40, warmup_jobs=4, weight_mix=((3, 1.0),)),
@@ -72,8 +51,7 @@ ORACLE_CONFIGS = {
         weight_mix=((1, 0.1), (2, 0.0), (5, 0.5), (7, 0.4)),
     ),
     "util-095": SimConfig(num_machines=5, total_jobs=40, warmup_jobs=4, utilization=0.95),
-    # Ranges where Lemire's method rejects about half (32-bit) and a
-    # quarter (64-bit) of its draws, then the edges of the 32-bit path.
+    # Wide integer ranges: workloads past 2**31, distances past 2**62.
     "rejecting-ranges": SimConfig(
         num_machines=3, total_jobs=20, warmup_jobs=2,
         workload_range=(1, 2**31 + 1), distance_range=(1, 2**62 + 1),
@@ -90,30 +68,60 @@ ORACLE_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
-def test_matches_numpy_call_generator(name):
-    config = ORACLE_CONFIGS[name]
+@pytest.mark.parametrize("name", sorted(INVARIANT_CONFIGS))
+def test_invariants(name):
+    config = INVARIANT_CONFIGS[name]
     for seed in range(30):
+        inst = generate_instance(config, seed=seed)
+        assert_invariants(inst)
         # Compared outside the assert: pytest's diff of two long reprs is slow.
-        identical = repr(generate_instance(config, seed=seed)) == repr(numpy_call_instance(config, seed))
-        assert identical, f"seed {seed}"
+        same = repr(generate_instance(config, seed=seed)) == repr(inst)
+        assert same, f"seed {seed}"
 
 
-@pytest.mark.parametrize(
-    "m, ks",
-    [(6, (1, 3, 6)), (10001, (1, 200, 201, 10001)), (12000, (240, 241))],
-)
-def test_sample_machines_matches_choice(m, ks):
-    """Floyd's algorithm, and numpy's tail shuffle above 10,000 elements."""
-    for k in ks:
-        for seed in range(3):
-            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            draw = _integer_drawer(ours.bit_generator)
-            for _ in range(2):
-                expected = tuple(sorted(int(x) for x in theirs.choice(m, size=k, replace=False)))
-                assert _sample_machines(draw, m, k) == expected
-            # An odd number of 32-bit draws leaves a high half waiting.
-            assert draw(999) == theirs.integers(0, 1000)
+def test_integral_float_bounds_match_int_bounds():
+    floats = INVARIANT_CONFIGS["float-bounds"]
+    ints = replace(floats, workload_range=(100, 1000), distance_range=(35, 500))
+    for seed in range(5):
+        assert replace(generate_instance(floats, seed=seed), config=ints) == generate_instance(ints, seed=seed)
+
+
+def test_key_blocks_do_not_change_the_stream(monkeypatch):
+    """Eligibility keys come from one stream of doubles, however it is cut into blocks."""
+    config = SimConfig(num_machines=7, total_jobs=30, warmup_jobs=3)
+    whole = repr(generate_instance(config, seed=12))
+    for block in (1, 7, 50):
+        monkeypatch.setattr(instance_mod, "_KEY_BLOCK", block)
+        cut = repr(generate_instance(config, seed=12))
+        assert cut == whole, f"block {block}"
+
+
+def test_wide_shop_spans_several_key_blocks():
+    config = SimConfig(num_machines=5000, total_jobs=50, warmup_jobs=5)
+    inst = generate_instance(config, seed=3)
+    n_ops = sum(len(job.operations) for job in inst.jobs)
+    assert n_ops * config.num_machines > instance_mod._KEY_BLOCK
+    assert_invariants(inst)
+
+
+def test_eligible_sets_are_uniform():
+    """Set sizes are uniform on 1..m and every machine is equally likely to be eligible.
+
+    Each count must lie within 4 binomial standard deviations of its
+    expectation: 1/m of the operations for each size, and (m + 1) / 2m of
+    them for each machine, the mean size over m.
+    """
+    m = 6
+    inst = generate_instance(SimConfig(num_machines=m, total_jobs=2000, warmup_jobs=10), seed=41)
+    ops = [op for job in inst.jobs for op in job.operations]
+    n = len(ops)
+    sizes = Counter(len(op.machines) for op in ops)
+    inclusion = Counter(i for op in ops for i in op.machines)
+    assert set(sizes) == set(range(1, m + 1)) and set(inclusion) == set(range(m))
+    for counts, p in ((sizes, 1 / m), (inclusion, (m + 1) / (2 * m))):
+        sigma = math.sqrt(n * p * (1 - p))
+        for key, count in counts.items():
+            assert abs(count - n * p) < 4 * sigma, (key, count, n * p)
 
 
 @pytest.mark.parametrize(
@@ -122,7 +130,7 @@ def test_sample_machines_matches_choice(m, ks):
         (
             SimConfig(num_machines=3, total_jobs=25, warmup_jobs=2),
             4,
-            "ac23d231c16badb266188393a6600253a0cfef9067c10e3be75a8d726cea587f",
+            "8dbb16ec35d65e59c0bf10e1fe2e8810c8e9ba10d457db07fa2bff91da0ade18",
         ),
         (
             SimConfig(
@@ -130,7 +138,7 @@ def test_sample_machines_matches_choice(m, ks):
                 weight_mix=((1, 0.1), (2, 0.2), (4, 0.3), (8, 0.4)),
             ),
             1001,
-            "d690ac551293377ee460af7f949a24c20f883d0c73a69e4f6f3993626763e924",
+            "0fb9d02a973a4694ad8a9068f664459ba1d4e8ef0e495916a9fd1ef680e18f7f",
         ),
     ],
 )

@@ -7,8 +7,11 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,6 +357,30 @@ class TestInstanceGeneration:
         assert abs(sum(counts) / len(counts) - 6.0) < 3 * sigma / math.sqrt(len(counts))
 
 
+# (where, field, value, message fragment): "header", a job index, or a
+# (job, op) index into the golden instance's dump.
+_CORRUPTIONS = [
+    ("header", "machine_rates", [10.0, 10.0, 10.0], "2 machine rates"),
+    ("header", "machine_rates", [10.0, 0.0], "positive"),
+    ("header", "entry_distances", [50.0], "2 entry distances"),
+    ("header", "machine_distances", [[0.0, 75.0]], "2 x 2"),
+    ("header", "machine_distances", [[0.0, 75.0], [75.0]], "2 x 2"),
+    ("header", "machine_distances", [[0.0, "far"], [75.0, 0.0]], "not supported"),
+    ("header", "entry_distances", [50.0, -1.0], "non-negative"),
+    (0, "id", 2, "job ids must run 1..n"),
+    (2, "release", -1.0, "before the previous job"),
+    (0, "weight", 3, "weight mix"),
+    (0, "due", 46.0, "due date"),
+    (0, "ops", [], "no operations"),
+    ((0, 0), "machines", [0, 7], "in range(2)"),
+    ((0, 0), "machines", [1, 0], "sorted"),
+    ((0, 0), "machines", [0, 0], "unique"),
+    ((0, 0), "machines", [], "sorted"),
+    ((0, 0), "proc_times", [31.0], "processing times"),
+    ((0, 0), "median", 29.0, "median"),
+]
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         inst = generate_instance(SimConfig(num_machines=3, total_jobs=40, warmup_jobs=4), seed=2)
@@ -405,6 +432,21 @@ class TestPersistence:
         mangled.write_text('{"kind": "gpshop-instance", "version": 1}\n')
         with pytest.raises(DataError):
             load_instance(str(mangled))
+
+    @pytest.mark.parametrize("where, field, value, fragment", _CORRUPTIONS)
+    def test_load_rejects_inconsistent_instances(self, tmp_path, golden_instance, where, field, value, fragment):
+        path = tmp_path / "golden.jsonl"
+        dump_instance(golden_instance, str(path))
+        header, *jobs = (json.loads(line) for line in path.read_text().splitlines())
+        if where == "header":
+            header[field] = value
+        elif isinstance(where, int):
+            jobs[where][field] = value
+        else:
+            jobs[where[0]]["ops"][where[1]][field] = value
+        path.write_text("".join(json.dumps(record) + "\n" for record in (header, *jobs)))
+        with pytest.raises(DataError, match=re.escape(fragment)):
+            load_instance(str(path))
 
 
 class TestEngineBehaviour:
@@ -664,8 +706,13 @@ class TestEngineProperties:
         _assert_choices_are_argmins(rules, out)
 
     def test_objectives_digest_is_pinned(self):
-        """24 random pairs of depth 1-8; the digest was computed before the choosers existed."""
-        inst = generate_instance(SimConfig(num_machines=5, total_jobs=150, warmup_jobs=15), seed=31)
+        """24 random pairs of depth 1-8; the digest was computed before the choosers existed.
+
+        The instance is the one generate_instance made for (5 machines,
+        150 jobs, seed 31) before its stream changed, stored as a file so
+        the digest pins the simulator alone.
+        """
+        inst = load_instance(str(Path(__file__).parent / "data" / "digest_instance_m5_n150_s31.jsonl"))
         rng = np.random.default_rng(2024)
         lines = []
         for i in range(24):
