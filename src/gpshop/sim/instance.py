@@ -171,8 +171,9 @@ def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
     8. weights, ``choice(weights, size=n, p=probs)``.
 
     Every job's gap is drawn before any operation, so an instance with
-    fewer jobs is not a prefix of one with more.  Integral float bounds
-    give the same instance as int bounds.  A median is
+    fewer jobs is not a prefix of one with more.  Bounded integers are
+    uint64, and integral float bounds give the same instance as int
+    bounds.  The block size does not change the stream.  A median is
     ``statistics.median`` of the operation's processing times, and a due
     date is ``release + due_date_factor * total_median``, the medians
     summed in operation order.
@@ -184,7 +185,7 @@ def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
 
     def integers(bounds, size):
         lo, hi = bounds
-        return rng.integers(int(lo), int(hi) + 1, size=size)
+        return rng.integers(int(lo), int(hi) + 1, size=size, dtype=np.uint64)
 
     rates = rng.uniform(*config.rate_range, size=m)
     distances = integers(config.distance_range, m * (m + 1) // 2).astype(float)

@@ -56,6 +56,11 @@ INVARIANT_CONFIGS = {
         num_machines=3, total_jobs=20, warmup_jobs=2,
         workload_range=(1, 2**31 + 1), distance_range=(1, 2**62 + 1),
     ),
+    # Bounds past int64, drawn as uint64.
+    "uint64-ranges": SimConfig(
+        num_machines=3, total_jobs=20, warmup_jobs=2,
+        workload_range=(2**63, 2**63 + 9), distance_range=(1, 2**64 - 1),
+    ),
     # Integral float bounds, as YAML configs may give them.
     "float-bounds": SimConfig(
         num_machines=3, total_jobs=20, warmup_jobs=2,
