@@ -79,7 +79,7 @@ def cmd_gen_instance(args) -> int:
         sim = sim.with_overrides(**overrides)
     instance = generate_instance(sim)
     dump_instance(instance, args.out)
-    print(f"wrote {args.out}: {len(instance.jobs)} jobs on {sim.num_machines} machines (seed {sim.seed})")
+    print(f"wrote {args.out}: {len(instance.release)} jobs on {sim.num_machines} machines (seed {sim.seed})")
     return 0
 
 

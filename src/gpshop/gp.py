@@ -52,6 +52,9 @@ __all__ = [
 # guard; large enough that selection always prefers any completed run.
 DEGENERATE_FITNESS = 1e12
 
+# Generated instances a FitnessEvaluator keeps, least recently used out.
+_INSTANCE_CACHE_SIZE = 8
+
 
 @dataclass(frozen=True)
 class GPParams:
@@ -199,7 +202,7 @@ class FitnessEvaluator:
     included; ``evaluations`` counts every call, memo hits included.
     """
 
-    def __init__(self, config: SimConfig, scenario: Scenario, max_queue: int | None = None, cache_size: int = 8):
+    def __init__(self, config: SimConfig, scenario: Scenario, max_queue: int | None = None):
         self.config = config.with_overrides(utilization=scenario.utilization)
         self.scenario = scenario
         if max_queue is None:
@@ -208,7 +211,6 @@ class FitnessEvaluator:
         self.max_queue = max_queue
         self.evaluations = 0
         self._instances: OrderedDict[int, Instance] = OrderedDict()
-        self._cache_size = cache_size
         self._reference: dict[int, ObjectiveVector] = {}
         self._fitness: dict[tuple[RulePair, int], float] = {}
 
@@ -219,7 +221,7 @@ class FitnessEvaluator:
             return cached
         inst = generate_instance(self.config, seed=seed)
         self._instances[seed] = inst
-        if len(self._instances) > self._cache_size:
+        if len(self._instances) > _INSTANCE_CACHE_SIZE:
             self._instances.popitem(last=False)
         return inst
 

@@ -286,25 +286,28 @@ def record_to_run(record: RunRecordFile, metric: str = "test_fitness") -> RunRec
 
 
 def log_from_record(record: RunRecordFile) -> EvolutionLog:
-    """Rebuild an EvolutionLog (wall times zeroed) for the figure helpers."""
-    entries = [
-        GenerationStats(
-            generation=int(row["generation"]),
-            best_fitness=float(row["best_fitness"]),
-            mean_fitness=float(row["mean_fitness"]),
-            diversity=float(row["diversity"]),
-            best_routing=row["best_routing"],
-            best_sequencing=row["best_sequencing"],
-            wall_time=0.0,
-            op_counts=dict(row.get("op_counts", {})),
-            aborted=int(row.get("aborted", 0)),
-        )
-        for row in record.generations
-    ]
-    rejections = [
-        SeedRejection(index=int(r["index"]), cause=r["cause"])
-        for r in record.meta.get("seed_rejections", [])
-    ]
+    """Rebuild an EvolutionLog (wall times zeroed) for the figure helpers; DataError if a row is malformed."""
+    try:
+        entries = [
+            GenerationStats(
+                generation=int(row["generation"]),
+                best_fitness=float(row["best_fitness"]),
+                mean_fitness=float(row["mean_fitness"]),
+                diversity=float(row["diversity"]),
+                best_routing=row["best_routing"],
+                best_sequencing=row["best_sequencing"],
+                wall_time=0.0,
+                op_counts=dict(row.get("op_counts", {})),
+                aborted=int(row.get("aborted", 0)),
+            )
+            for row in record.generations
+        ]
+        rejections = [
+            SeedRejection(index=int(r["index"]), cause=r["cause"])
+            for r in record.meta.get("seed_rejections", [])
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{record.path}: malformed generation or seed-rejection row: {exc!r}") from exc
     return EvolutionLog(entries=entries, gen0_fitness=list(record.gen0_fitness), seed_rejections=rejections)
 
 

@@ -13,8 +13,6 @@ from .engine import (  # noqa: F401
 )
 from .instance import (  # noqa: F401
     Instance,
-    Job,
-    Operation,
     arrival_rate_for_utilization,
     dump_instance,
     generate_instance,

@@ -113,10 +113,3 @@ class Scenario:
             return self.name
         mix = "-".join(self.objectives)
         return f"<{mix}, {self.utilization:g}>"
-
-    def objective_equation(self) -> str:
-        """Human-readable weighted sum, e.g. ``0.2*Fmean + 0.8*WTmean``."""
-        if len(self.objectives) == 1:
-            return self.objectives[0]
-        parts = [f"{lam:g}*{key}" for key, lam in zip(self.objectives, self.lambdas)]
-        return " + ".join(parts)

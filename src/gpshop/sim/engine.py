@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 from ..expr import TERMINAL_ORDER, DecisionContext, expression_source, terminal_histogram
 from ..expr import compile_expression  # noqa: F401  unused; perfbench/spans.py hooks it here by name
 from ..fileio import write_text_atomic
-from .instance import Instance, JobTables
+from .instance import Instance
 from .objectives import CompletedJob, ObjectiveVector, compute_objectives
 
 if TYPE_CHECKING:
@@ -166,7 +166,7 @@ def _bindings(statements: dict[str, str], reads: set[str], indent: str) -> str:
 
 
 def compile_choosers(
-    rules: "RulePair", niq: list, wiq: list, mrt: list, tables: JobTables, record=None
+    rules: "RulePair", niq: list, wiq: list, mrt: list, instance: Instance, n_ops: list[int], record=None
 ):
     """Generate the simulator's two decision functions for one rule pair.
 
@@ -178,10 +178,12 @@ def compile_choosers(
     is inlined into its candidate loop, and only the terminals it reads
     are computed (NIQ and NOR are ints, OWT is 0.0 when routing).  The
     functions read the live machine state ``niq``, ``wiq`` and ``mrt`` at
-    call time.  Given ``record``, every terminal is computed and each
-    candidate is passed to it before it is scored, as (kind, time,
-    job_id, op_index, machine, DecisionContext) with kind "route" or
-    "sequence"; the decisions themselves are the same.  The generated
+    call time, and the job data from ``instance``'s columns and
+    ``n_ops``, each job's operation count.  Given ``record``, every
+    terminal is computed and each candidate is passed to it before it is
+    scored, as (kind, time, job_id, op_index, machine, DecisionContext)
+    with kind "route" or "sequence"; the decisions themselves are the
+    same.  The generated
     source is compiled once and the compiled factory kept, so a pair met
     again, on another seed or instance, is only rebound.
     """
@@ -204,7 +206,7 @@ def compile_choosers(
         sequence_body=expression_source(rules.sequencing),
     )
     return _compiled_bind(src)(
-        niq, wiq, mrt, tables.release, tables.due, tables.weight, tables.n_ops, tables.npt, tables.wkr, record
+        niq, wiq, mrt, instance.release, instance.due, instance.weight, n_ops, instance.npt, instance.wkr, record
     )
 
 
@@ -225,22 +227,22 @@ def run_simulation(
 ) -> SimOutcome:
     """Simulate one instance under a rule pair, with the instance's config.
 
-    Decisions are made by the two functions ``compile_choosers``
-    binds for this rule pair, once per call; the job data comes from
-    ``instance.tables``, built on the instance's first simulation.  With
-    ``capture_contexts`` the choosers are generated in their recording
-    form, and every scored candidate lands in ``SimOutcome.contexts`` as
-    (kind, time, job_id, op_index, machine, DecisionContext); decisions
-    are identical either way, which tests pin.  ``max_queue`` aborts the
+    Decisions are made by the two functions ``compile_choosers`` binds
+    for this rule pair, once per call, over the instance's columns.
+    With ``capture_contexts`` the choosers are generated in their
+    recording form, and every scored candidate lands in
+    ``SimOutcome.contexts`` as (kind, time, job_id, op_index, machine,
+    DecisionContext); decisions are identical either way, which tests
+    pin.  ``max_queue`` aborts the
     run with QueueOverflow once any machine holds more committed
     operations, which fitness evaluators use to prune degenerate rules.
     """
     cfg = instance.config
 
     speed = cfg.transport_speed
-    tables = instance.tables
-    release, due, weight, n_ops = tables.release, tables.due, tables.weight, tables.n_ops
-    ops_mach, ops_pt, ops_npt, ops_wkr = tables.machines, tables.proc_times, tables.npt, tables.wkr
+    release, due, weight = instance.release, instance.due, instance.weight
+    ops_mach, ops_pt, ops_npt, ops_wkr = instance.machines, instance.proc_times, instance.npt, instance.wkr
+    n_ops = [len(ops) for ops in ops_mach]
     n_jobs = len(release)
     m = len(instance.machine_rates)
 
@@ -276,7 +278,7 @@ def run_simulation(
     queue_limit = _INF if max_queue is None else max_queue
 
     record = None if contexts is None else contexts.append
-    choose_machine, choose_op = compile_choosers(rules, niq, wiq, mrt, tables, record)
+    choose_machine, choose_op = compile_choosers(rules, niq, wiq, mrt, instance, n_ops, record)
 
     def route_op(j: int, t: float) -> None:
         nonlocal seq_counter
@@ -375,7 +377,6 @@ def validate_trace(trace: list[tuple], instance: Instance) -> list[str]:
     eps = 1e-9
     problems: list[str] = []
     speed = instance.config.transport_speed
-    jobs = {job.id: job for job in instance.jobs}
 
     starts: dict[tuple[int, int], tuple[float, int]] = {}
     completes: dict[tuple[int, int], tuple[float, int]] = {}
@@ -388,28 +389,30 @@ def validate_trace(trace: list[tuple], instance: Instance) -> list[str]:
             bucket[key] = (time, mch)
 
     machine_intervals: dict[int, list[tuple[float, float, int, int]]] = {}
-    for job in jobs.values():
+    for job_id, (release, machine_sets, op_times) in enumerate(
+        zip(instance.release, instance.machines, instance.proc_times), 1
+    ):
         prev_complete = None
         prev_machine = None
-        for op_idx, op in enumerate(job.operations):
-            key = (job.id, op_idx)
+        for op_idx, (machines, times) in enumerate(zip(machine_sets, op_times)):
+            key = (job_id, op_idx)
             if key not in starts or key not in completes:
-                problems.append(f"job {job.id} op {op_idx}: missing start or complete")
+                problems.append(f"job {job_id} op {op_idx}: missing start or complete")
                 continue
             s_time, s_mch = starts[key]
             c_time, c_mch = completes[key]
             if s_mch != c_mch:
-                problems.append(f"job {job.id} op {op_idx}: started on {s_mch}, completed on {c_mch}")
-            if s_mch not in op.machines:
-                problems.append(f"job {job.id} op {op_idx}: machine {s_mch} not eligible")
+                problems.append(f"job {job_id} op {op_idx}: started on {s_mch}, completed on {c_mch}")
+            if s_mch not in machines:
+                problems.append(f"job {job_id} op {op_idx}: machine {s_mch} not eligible")
             else:
-                pt = op.proc_times[op.machines.index(s_mch)]
+                pt = times[machines.index(s_mch)]
                 if abs((c_time - s_time) - pt) > eps:
                     problems.append(
-                        f"job {job.id} op {op_idx}: duration {c_time - s_time} != processing time {pt}"
+                        f"job {job_id} op {op_idx}: duration {c_time - s_time} != processing time {pt}"
                     )
             if op_idx == 0:
-                earliest = job.release + instance.entry_distances[s_mch] / speed
+                earliest = release + instance.entry_distances[s_mch] / speed
             else:
                 if prev_complete is None:
                     earliest = None
@@ -417,11 +420,11 @@ def validate_trace(trace: list[tuple], instance: Instance) -> list[str]:
                     earliest = prev_complete + instance.machine_distances[prev_machine][s_mch] / speed
             if earliest is not None and s_time < earliest - eps:
                 problems.append(
-                    f"job {job.id} op {op_idx}: starts at {s_time} before reachable time {earliest}"
+                    f"job {job_id} op {op_idx}: starts at {s_time} before reachable time {earliest}"
                 )
             prev_complete = c_time
             prev_machine = s_mch
-            machine_intervals.setdefault(s_mch, []).append((s_time, c_time, job.id, op_idx))
+            machine_intervals.setdefault(s_mch, []).append((s_time, c_time, job_id, op_idx))
 
     for mch, intervals in machine_intervals.items():
         intervals.sort()

@@ -9,9 +9,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,78 +18,48 @@ from ..fileio import write_text_atomic
 from .config import SimConfig
 
 
-@dataclass(frozen=True, slots=True)
-class Operation:
-    """One processing step: eligible machines and the matching times.
-
-    ``machines`` holds machine indexes in ascending order;
-    ``proc_times[i]`` is workload / rate of ``machines[i]``.
-    ``median_proc_time`` is the median over eligible machines, used for
-    due dates and the work-remaining terminals.
-    """
-
-    workload: float
-    machines: tuple[int, ...]
-    proc_times: tuple[float, ...]
-    median_proc_time: float
-
-
-@dataclass(frozen=True, slots=True)
-class Job:
-    """A job with its release time, weight, due date and operation chain.
-
-    Ids are 1-based and ordered by release; jobs with id <= warmup_jobs
-    are simulated but excluded from the objectives.
-    """
-
-    id: int
-    release: float
-    weight: int
-    due: float
-    operations: tuple[Operation, ...]
-
-
-class JobTables(NamedTuple):
-    """An instance's static job data as lists indexed by job position.
-
-    The per-operation lists are indexed ``[job][op]``: eligible machines,
-    their processing times, the next operation's median processing time
-    (NPT, 0 for the last operation) and the median work remaining from
-    that operation on, itself included (WKR).
-    """
-
-    release: list[float]
-    due: list[float]
-    weight: list[int]
-    n_ops: list[int]
-    machines: list[list[tuple[int, ...]]]
-    proc_times: list[list[tuple[float, ...]]]
-    npt: list[list[float]]
-    wkr: list[list[float]]
-
-
 @dataclass(frozen=True)
 class Instance:
+    """One frozen simulation input: machines, distances and the job stream.
+
+    The job stream is held as columns.  ``release``, ``weight`` and
+    ``due`` are indexed by job position ``j``; the job's id is ``j + 1``,
+    ids follow release order, and jobs with id <= warmup_jobs are
+    simulated but excluded from the objectives.  ``workload``,
+    ``machines``, ``proc_times`` and ``median`` are indexed ``[j][k]`` by
+    job and operation: an operation's eligible machines in ascending
+    order, ``proc_times[j][k][i]`` = workload / rate of
+    ``machines[j][k][i]``, and the median of those times.  A due date is
+    ``release + due_date_factor`` times the job's medians summed in
+    operation order.
+
+    ``npt`` and ``wkr``, also ``[j][k]``, are derived on construction:
+    the next operation's median (NPT, 0 for the last operation) and the
+    medians from that operation on, itself included, summed from the
+    last operation back (WKR).  They are left out of equality, ``repr``
+    and ``dump_instance``.
+    """
+
     config: SimConfig
     seed: int
     machine_rates: tuple[float, ...]
     entry_distances: tuple[float, ...]
     machine_distances: tuple[tuple[float, ...], ...]
-    jobs: tuple[Job, ...]
+    release: tuple[float, ...]
+    weight: tuple[int, ...]
+    due: tuple[float, ...]
+    workload: tuple[tuple[float, ...], ...]
+    machines: tuple[tuple[tuple[int, ...], ...], ...]
+    proc_times: tuple[tuple[tuple[float, ...], ...], ...]
+    median: tuple[tuple[float, ...], ...]
+    npt: list[list[float]] = field(init=False, repr=False, compare=False)
+    wkr: list[list[float]] = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def tables(self) -> JobTables:
-        """The job data the simulator reads, built on first use and kept.
-
-        Not a dataclass field, so equality, ``repr`` and ``dump_instance``
-        are unaffected.
-        """
-        jobs = self.jobs
+    def __post_init__(self):
         npt: list[list[float]] = []
         wkr: list[list[float]] = []
-        for job in jobs:
-            medians = [op.median_proc_time for op in job.operations]
-            npt.append(medians[1:] + [0.0])
+        for medians in self.median:
+            npt.append([*medians[1:], 0.0])
             remaining = []
             acc = 0.0
             for med in reversed(medians):
@@ -99,16 +67,8 @@ class Instance:
                 remaining.append(acc)
             remaining.reverse()
             wkr.append(remaining)
-        return JobTables(
-            release=[job.release for job in jobs],
-            due=[job.due for job in jobs],
-            weight=[job.weight for job in jobs],
-            n_ops=[len(job.operations) for job in jobs],
-            machines=[[op.machines for op in job.operations] for job in jobs],
-            proc_times=[[op.proc_times for op in job.operations] for job in jobs],
-            npt=npt,
-            wkr=wkr,
-        )
+        object.__setattr__(self, "npt", npt)
+        object.__setattr__(self, "wkr", wkr)
 
 
 def arrival_rate_for_utilization(config: SimConfig) -> float:
@@ -205,21 +165,20 @@ def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
         machine_distances.append(tuple([row[i] for row in machine_distances] + [0.0] + right))
         start += m - 1 - i
 
-    proc = (np.repeat(workloads, sizes) / rates[machines]).tolist()
-    machines, ends = machines.tolist(), np.cumsum(sizes)
-    ops = []
-    for workload, a, b in zip(workloads.tolist(), (ends - sizes).tolist(), ends.tolist()):
-        times = tuple(proc[a:b])
-        ops.append(Operation(workload, tuple(machines[a:b]), times, statistics.median(times)))
-    jobs = []
-    first = 0
-    for job_id, release, count, weight in zip(range(1, n + 1), releases.tolist(), n_ops.tolist(), weights.tolist()):
-        operations = tuple(ops[first:first + count])
+    def split(values: list, ends: list) -> tuple:
+        """``values`` cut into tuples that end at ``ends``."""
+        return tuple(tuple(values[a:b]) for a, b in zip([0, *ends], ends))
+
+    op_ends, job_ends = np.cumsum(sizes).tolist(), np.cumsum(n_ops).tolist()
+    op_times = split((np.repeat(workloads, sizes) / rates[machines]).tolist(), op_ends)
+    medians = split([statistics.median(times) for times in op_times], job_ends)
+    releases = releases.tolist()
+    due = []
+    for release, job_medians in zip(releases, medians):
         total_median = 0.0
-        for op in operations:
-            total_median += op.median_proc_time
-        jobs.append(Job(job_id, release, weight, release + config.due_date_factor * total_median, operations))
-        first += count
+        for med in job_medians:
+            total_median += med
+        due.append(release + config.due_date_factor * total_median)
 
     return Instance(
         config=config,
@@ -227,7 +186,13 @@ def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
         machine_rates=tuple(rates.tolist()),
         entry_distances=tuple(distances[:m].tolist()),
         machine_distances=tuple(machine_distances),
-        jobs=tuple(jobs),
+        release=tuple(releases),
+        weight=tuple(weights.tolist()),
+        due=tuple(due),
+        workload=split(workloads.tolist(), job_ends),
+        machines=split(split(machines.tolist(), op_ends), job_ends),
+        proc_times=split(op_times, job_ends),
+        median=medians,
     )
 
 
@@ -286,20 +251,17 @@ def dump_instance(instance: Instance, path: str) -> None:
         "machine_distances": [list(row) for row in instance.machine_distances],
     }
     lines = [json.dumps(header, sort_keys=True) + "\n"]
-    for job in instance.jobs:
+    for j, release in enumerate(instance.release):
         record = {
-            "id": job.id,
-            "release": job.release,
-            "weight": job.weight,
-            "due": job.due,
+            "id": j + 1,
+            "release": release,
+            "weight": instance.weight[j],
+            "due": instance.due[j],
             "ops": [
-                {
-                    "workload": op.workload,
-                    "machines": list(op.machines),
-                    "proc_times": list(op.proc_times),
-                    "median": op.median_proc_time,
-                }
-                for op in job.operations
+                {"workload": workload, "machines": list(machines), "proc_times": list(times), "median": median}
+                for workload, machines, times, median in zip(
+                    instance.workload[j], instance.machines[j], instance.proc_times[j], instance.median[j]
+                )
             ],
         }
         lines.append(json.dumps(record, sort_keys=True) + "\n")
@@ -319,31 +281,34 @@ def _check_instance(instance: Instance) -> None:
         raise ValueError(f"the distance matrix must be {m} x {m}")
     if not all(0 <= d < math.inf for row in (instance.entry_distances, *instance.machine_distances) for d in row):
         raise ValueError("distances must be non-negative and finite")
+    if len(instance.release) != config.total_jobs:
+        raise ValueError(f"expected {config.total_jobs} jobs, found {len(instance.release)}")
     weights = {w for w, _ in config.weight_mix}
     previous = -math.inf
-    for position, job in enumerate(instance.jobs, 1):
-        if job.id != position:
-            raise ValueError(f"job ids must run 1..n in order; job {position} has id {job.id}")
-        if not job.release >= previous:
-            raise ValueError(f"job {job.id}: release {job.release} is before the previous job's")
-        previous = job.release
-        if job.weight not in weights:
-            raise ValueError(f"job {job.id}: weight {job.weight} is not in the weight mix")
-        if not job.operations:
-            raise ValueError(f"job {job.id} has no operations")
+    columns = zip(
+        instance.release, instance.weight, instance.due,
+        instance.workload, instance.machines, instance.proc_times, instance.median,
+    )
+    for job_id, (release, weight, due, workloads, machine_sets, op_times, medians) in enumerate(columns, 1):
+        if not release >= previous:
+            raise ValueError(f"job {job_id}: release {release} is before the previous job's")
+        previous = release
+        if weight not in weights:
+            raise ValueError(f"job {job_id}: weight {weight} is not in the weight mix")
+        if not workloads:
+            raise ValueError(f"job {job_id} has no operations")
         total_median = 0.0
-        for k, op in enumerate(job.operations):
-            where = f"job {job.id} op {k}"
-            machines = op.machines
+        for k, (workload, machines, times, median) in enumerate(zip(workloads, machine_sets, op_times, medians)):
+            where = f"job {job_id} op {k}"
             if not (machines and list(machines) == sorted(set(machines)) and 0 <= machines[0] and machines[-1] < m):
                 raise ValueError(f"{where}: machines {list(machines)} must be sorted, unique and in range({m})")
-            if op.proc_times != tuple(op.workload / rates[i] for i in machines):
+            if times != tuple(workload / rates[i] for i in machines):
                 raise ValueError(f"{where}: processing times are not workload / machine rate")
-            if op.median_proc_time != statistics.median(op.proc_times):
-                raise ValueError(f"{where}: median {op.median_proc_time} is not the processing times' median")
-            total_median += op.median_proc_time
-        if job.due != job.release + config.due_date_factor * total_median:
-            raise ValueError(f"job {job.id}: due date is not release + due_date_factor * total median")
+            if median != statistics.median(times):
+                raise ValueError(f"{where}: median {median} is not the processing times' median")
+            total_median += median
+        if due != release + config.due_date_factor * total_median:
+            raise ValueError(f"job {job_id}: due date is not release + due_date_factor * total median")
 
 
 def load_instance(path: str) -> Instance:
@@ -360,34 +325,24 @@ def load_instance(path: str) -> Instance:
         if header.get("kind") != "gpshop-instance":
             raise DataError(f"{path!r} is not an instance file")
         config = _config_from_dict(header["config"])
-        jobs = []
-        for line in lines[1:]:
-            rec = json.loads(line)
-            operations = tuple(
-                Operation(
-                    workload=op["workload"],
-                    machines=tuple(op["machines"]),
-                    proc_times=tuple(op["proc_times"]),
-                    median_proc_time=op["median"],
-                )
-                for op in rec["ops"]
-            )
-            jobs.append(
-                Job(
-                    id=rec["id"],
-                    release=rec["release"],
-                    weight=rec["weight"],
-                    due=rec["due"],
-                    operations=operations,
-                )
-            )
+        jobs = [json.loads(line) for line in lines[1:]]
+        for position, rec in enumerate(jobs, 1):
+            if rec["id"] != position:
+                raise ValueError(f"job ids must run 1..n in order; job {position} has id {rec['id']}")
+        ops = [rec["ops"] for rec in jobs]
         instance = Instance(
             config=config,
             seed=header["seed"],
             machine_rates=tuple(header["machine_rates"]),
             entry_distances=tuple(header["entry_distances"]),
             machine_distances=tuple(tuple(row) for row in header["machine_distances"]),
-            jobs=tuple(jobs),
+            release=tuple(rec["release"] for rec in jobs),
+            weight=tuple(rec["weight"] for rec in jobs),
+            due=tuple(rec["due"] for rec in jobs),
+            workload=tuple(tuple(op["workload"] for op in job) for job in ops),
+            machines=tuple(tuple(tuple(op["machines"]) for op in job) for job in ops),
+            proc_times=tuple(tuple(tuple(op["proc_times"]) for op in job) for job in ops),
+            median=tuple(tuple(op["median"] for op in job) for job in ops),
         )
         _check_instance(instance)
         return instance

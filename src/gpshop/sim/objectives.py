@@ -34,9 +34,6 @@ class ObjectiveVector:
             raise KeyError(key)
         return getattr(self, key)
 
-    def as_dict(self) -> dict[str, float]:
-        return {key: getattr(self, key) for key in OBJECTIVE_KEYS}
-
 
 def compute_objectives(jobs: Iterable[CompletedJob]) -> ObjectiveVector:
     """Aggregate tardiness and flowtime statistics.

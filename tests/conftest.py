@@ -6,16 +6,29 @@ import pytest
 
 from gpshop.rules import RulePair
 from gpshop.sim.config import SimConfig
-from gpshop.sim.instance import Instance, Job, Operation
+from gpshop.sim.instance import Instance
 
 
-def _op(workload: float, machines: tuple[int, ...], rates: tuple[float, ...]) -> Operation:
-    pts = tuple(workload / rates[m] for m in machines)
-    return Operation(
-        workload=workload,
-        machines=machines,
-        proc_times=pts,
-        median_proc_time=float(np.median(pts)),
+def build_instance(config: SimConfig, rates: tuple[float, ...], jobs: tuple) -> Instance:
+    """A 2-machine instance from (release, weight, due, ((workload, machines), ...)) per job.
+
+    Processing times are workload / rate and medians ``np.median``; the
+    entry distances are (50, 100) and the machines lie 75 apart.
+    """
+    times = [[tuple(workload / rates[m] for m in machines) for workload, machines in ops] for *_, ops in jobs]
+    return Instance(
+        config=config,
+        seed=0,
+        machine_rates=rates,
+        entry_distances=(50.0, 100.0),
+        machine_distances=((0.0, 75.0), (75.0, 0.0)),
+        release=tuple(release for release, *_ in jobs),
+        weight=tuple(weight for _, weight, *_ in jobs),
+        due=tuple(due for _, _, due, _ in jobs),
+        workload=tuple(tuple(workload for workload, _ in ops) for *_, ops in jobs),
+        machines=tuple(tuple(machines for _, machines in ops) for *_, ops in jobs),
+        proc_times=tuple(tuple(job_times) for job_times in times),
+        median=tuple(tuple(float(np.median(pts)) for pts in job_times) for job_times in times),
     )
 
 
@@ -26,7 +39,6 @@ def make_golden_instance() -> Instance:
     instance was built around.  All routing decisions are forced (single
     eligible machine) so the schedule depends only on the sequencing rule.
     """
-    rates = (10.0, 10.0)
     config = SimConfig(
         num_machines=2,
         total_jobs=3,
@@ -38,30 +50,11 @@ def make_golden_instance() -> Instance:
         distance_range=(50, 100),
     )
     jobs = (
-        Job(id=1, release=0.0, weight=2, due=45.0, operations=(_op(300.0, (0,), rates),)),
-        Job(
-            id=2,
-            release=0.0,
-            weight=1,
-            due=45.0,
-            operations=(_op(200.0, (0,), rates), _op(100.0, (1,), rates)),
-        ),
-        Job(
-            id=3,
-            release=5.0,
-            weight=4,
-            due=42.5,
-            operations=(_op(100.0, (0,), rates), _op(150.0, (0,), rates)),
-        ),
+        (0.0, 2, 45.0, ((300.0, (0,)),)),
+        (0.0, 1, 45.0, ((200.0, (0,)), (100.0, (1,)))),
+        (5.0, 4, 42.5, ((100.0, (0,)), (150.0, (0,)))),
     )
-    return Instance(
-        config=config,
-        seed=0,
-        machine_rates=rates,
-        entry_distances=(50.0, 100.0),
-        machine_distances=((0.0, 75.0), (75.0, 0.0)),
-        jobs=jobs,
-    )
+    return build_instance(config, (10.0, 10.0), jobs)
 
 
 @pytest.fixture

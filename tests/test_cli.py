@@ -117,7 +117,7 @@ class TestGenInstance:
         assert "wrote" in capsys.readouterr().out
         first = out.read_bytes()
         inst = load_instance(str(out))
-        assert len(inst.jobs) == 80
+        assert len(inst.release) == 80
         assert inst.config.warmup_jobs == 1000 * 80 // 5000
         assert main(["gen-instance", "--jobs", "80", "--seed", "3", "--out", str(out)]) == 0
         assert out.read_bytes() == first
@@ -181,6 +181,17 @@ class TestSimulate:
         assert main(["simulate", "--rules", str(rules_path), "--instance", str(bad)]) == 4
         err = capsys.readouterr().err
         assert "data error" in err and "bad-machine.jsonl" in err and "range(2)" in err
+
+    def test_truncated_instance_exit_4(self, ws, golden_files, capsys):
+        _, rules_path = golden_files
+        full = ws / "full-40.jsonl"
+        assert main(["gen-instance", "--jobs", "40", "--seed", "3", "--out", str(full)]) == 0
+        capsys.readouterr()
+        cut = ws / "cut-40.jsonl"
+        cut.write_text("".join(full.read_text().splitlines(keepends=True)[:4]))
+        assert main(["simulate", "--rules", str(rules_path), "--instance", str(cut)]) == 4
+        err = capsys.readouterr().err
+        assert "data error" in err and "cut-40.jsonl" in err and "expected 40 jobs, found 3" in err
 
     def test_missing_instance_exit_4(self, ws, golden_files):
         _, rules_path = golden_files
@@ -469,6 +480,20 @@ class TestCompare:
     def test_no_matches_exit_4(self, tmp_path):
         argv = ["compare", "--records", str(tmp_path / "nothing-*.jsonl"), "--baseline", "x", "--out", str(tmp_path)]
         assert main(argv) == 4
+
+    def test_malformed_generation_row_exit_4(self, record_dir, capsys):
+        path = record_dir / "new-s1-1.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        for row in rows:
+            row.pop("best_fitness", None)
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        argv = [
+            "compare", "--records", str(record_dir / "*.jsonl"),
+            "--baseline", "base", "--out", str(record_dir / "cmp"),
+        ]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "data error" in err and "new-s1-1.jsonl" in err and "best_fitness" in err
 
     def test_unknown_baseline_exit_4(self, record_dir):
         argv = [

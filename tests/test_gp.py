@@ -403,11 +403,11 @@ class TestFitnessEvaluator:
         assert ev.evaluations == 2
 
     def test_instance_cache_reuses_objects(self):
-        ev = FitnessEvaluator(SMALL_CONFIG, SMALL_SCENARIO, cache_size=2)
+        ev = FitnessEvaluator(SMALL_CONFIG, SMALL_SCENARIO)
         first = ev.instance(1)
         assert ev.instance(1) is first
-        ev.instance(2)
-        ev.instance(3)  # evicts seed 1
+        for seed in range(2, gp_module._INSTANCE_CACHE_SIZE + 2):
+            ev.instance(seed)  # the last one evicts seed 1
         assert ev.instance(1) is not first
         assert ev.instance(1) == first
 

@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gpshop.sim import Instance, Job, Operation, SimConfig, dump_instance, generate_instance
+from gpshop.sim import Instance, SimConfig, dump_instance, generate_instance
 from gpshop.sim import instance as instance_mod
 from gpshop.sim.instance import arrival_rate_for_utilization
 
@@ -55,7 +55,7 @@ def numpy_call_instance(config: SimConfig, seed: int) -> Instance:
     for workload, k, row in zip(workloads, sizes, keys.tolist()):
         members = tuple(sorted(sorted(range(m), key=lambda i: (row[i], i))[:k]))
         times = tuple(workload / rates[i] for i in members)
-        operations.append(Operation(workload, members, times, statistics.median(times)))
+        operations.append((workload, members, times, statistics.median(times)))
     jobs = []
     clock = 0.0
     ops = iter(operations)
@@ -63,17 +63,23 @@ def numpy_call_instance(config: SimConfig, seed: int) -> Instance:
         clock += float(gaps[job_id - 1])
         chain = tuple(next(ops) for _ in range(n_ops[job_id - 1]))
         total_median = 0.0
-        for op in chain:
-            total_median += op.median_proc_time
+        for *_, median in chain:
+            total_median += median
         due = clock + config.due_date_factor * total_median
-        jobs.append(Job(job_id, clock, int(weights[job_id - 1]), due, chain))
+        jobs.append((clock, int(weights[job_id - 1]), due, chain))
     return Instance(
         config=config,
         seed=seed,
         machine_rates=tuple(rates),
         entry_distances=entry,
         machine_distances=tuple(tuple(row) for row in dist),
-        jobs=tuple(jobs),
+        release=tuple(release for release, _, _, _ in jobs),
+        weight=tuple(weight for _, weight, _, _ in jobs),
+        due=tuple(due for _, _, due, _ in jobs),
+        workload=tuple(tuple(op[0] for op in chain) for *_, chain in jobs),
+        machines=tuple(tuple(op[1] for op in chain) for *_, chain in jobs),
+        proc_times=tuple(tuple(op[2] for op in chain) for *_, chain in jobs),
+        median=tuple(tuple(op[3] for op in chain) for *_, chain in jobs),
     )
 
 
@@ -82,21 +88,22 @@ def assert_invariants(inst: Instance) -> None:
     m = config.num_machines
     rates = inst.machine_rates
     weights = {w for w, p in config.weight_mix if p > 0}
-    assert len(inst.jobs) == config.total_jobs
+    columns = (inst.release, inst.weight, inst.due, inst.workload, inst.machines, inst.proc_times, inst.median)
+    assert [len(column) for column in columns] == [config.total_jobs] * len(columns)
     previous = 0.0
-    for job_id, job in enumerate(inst.jobs, 1):
-        assert job.id == job_id
-        assert job.release >= previous
-        previous = job.release
-        assert job.weight in weights
+    for release, weight, due, workloads, machine_sets, op_times, medians in zip(*columns):
+        assert len(machine_sets) == len(op_times) == len(medians) == len(workloads)
+        assert release >= previous
+        previous = release
+        assert weight in weights
         total_median = 0.0
-        for op in job.operations:
-            assert op.machines == tuple(sorted(set(op.machines)))
-            assert 0 <= op.machines[0] and op.machines[-1] < m
-            assert op.proc_times == tuple(op.workload / rates[i] for i in op.machines)
-            assert op.median_proc_time == statistics.median(op.proc_times)
-            total_median += op.median_proc_time
-        assert job.due == job.release + config.due_date_factor * total_median
+        for workload, machines, times, median in zip(workloads, machine_sets, op_times, medians):
+            assert machines == tuple(sorted(set(machines)))
+            assert 0 <= machines[0] and machines[-1] < m
+            assert times == tuple(workload / rates[i] for i in machines)
+            assert median == statistics.median(times)
+            total_median += median
+        assert due == release + config.due_date_factor * total_median
 
 
 INVARIANT_CONFIGS = {
@@ -170,7 +177,7 @@ def test_key_blocks_do_not_change_the_stream(monkeypatch):
 def test_wide_shop_spans_several_key_blocks():
     config = SimConfig(num_machines=5000, total_jobs=50, warmup_jobs=5)
     inst = generate_instance(config, seed=3)
-    n_ops = sum(len(job.operations) for job in inst.jobs)
+    n_ops = sum(len(workloads) for workloads in inst.workload)
     assert n_ops * config.num_machines > instance_mod._KEY_BLOCK
     assert_invariants(inst)
 
@@ -184,10 +191,10 @@ def test_eligible_sets_are_uniform():
     """
     m = 6
     inst = generate_instance(SimConfig(num_machines=m, total_jobs=2000, warmup_jobs=10), seed=41)
-    ops = [op for job in inst.jobs for op in job.operations]
+    ops = [machines for machine_sets in inst.machines for machines in machine_sets]
     n = len(ops)
-    sizes = Counter(len(op.machines) for op in ops)
-    inclusion = Counter(i for op in ops for i in op.machines)
+    sizes = Counter(len(machines) for machines in ops)
+    inclusion = Counter(i for machines in ops for i in machines)
     assert set(sizes) == set(range(1, m + 1)) and set(inclusion) == set(range(m))
     for counts, p in ((sizes, 1 / m), (inclusion, (m + 1) / (2 * m))):
         sigma = math.sqrt(n * p * (1 - p))

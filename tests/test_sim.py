@@ -24,9 +24,7 @@ from gpshop.rules import RulePair
 from gpshop.sim import (
     CompletedJob,
     Instance,
-    Job,
     ObjectiveVector,
-    Operation,
     QueueOverflow,
     Scenario,
     SimConfig,
@@ -41,7 +39,7 @@ from gpshop.sim import (
 )
 from gpshop.sim.engine import trace_to_csv
 
-from conftest import FIFO_RULES, SPT_RULES, make_golden_instance
+from conftest import FIFO_RULES, SPT_RULES, build_instance, make_golden_instance
 
 
 def completions_by_job(outcome) -> dict[int, float]:
@@ -145,28 +143,11 @@ def _routing_probe_instance() -> Instance:
         ops_per_job_range=(1, 1),
         distance_range=(50, 100),
     )
-
-    def op(workload, machines):
-        pts = tuple(workload / rates[m] for m in machines)
-        return Operation(
-            workload=workload,
-            machines=machines,
-            proc_times=pts,
-            median_proc_time=float(np.median(pts)),
-        )
-
     jobs = (
-        Job(id=1, release=0.0, weight=1, due=45.0, operations=(op(300.0, (0,)),)),
-        Job(id=2, release=1.0, weight=1, due=16.0, operations=(op(100.0, (0, 1)),)),
+        (0.0, 1, 45.0, ((300.0, (0,)),)),
+        (1.0, 1, 16.0, ((100.0, (0, 1)),)),
     )
-    return Instance(
-        config=config,
-        seed=0,
-        machine_rates=rates,
-        entry_distances=(50.0, 100.0),
-        machine_distances=((0.0, 75.0), (75.0, 0.0)),
-        jobs=jobs,
-    )
+    return build_instance(config, rates, jobs)
 
 
 class TestCommittedAccounting:
@@ -294,7 +275,7 @@ class TestInstanceGeneration:
     def test_field_ranges(self):
         config = SimConfig(num_machines=5, total_jobs=400, warmup_jobs=10)
         inst = generate_instance(config, seed=3)
-        assert len(inst.jobs) == 400
+        assert len(inst.release) == 400
         assert all(10.0 <= r < 15.0 for r in inst.machine_rates)
         assert all(35.0 <= d <= 500.0 for d in inst.entry_distances)
         for i, row in enumerate(inst.machine_distances):
@@ -304,24 +285,26 @@ class TestInstanceGeneration:
                 if i != j:
                     assert 35.0 <= d <= 500.0
         prev = -1.0
-        for job in inst.jobs:
-            assert job.release > prev
-            prev = job.release
-            assert job.weight in (1, 2, 4)
-            assert 2 <= len(job.operations) <= 10
-            for op in job.operations:
-                assert 100.0 <= op.workload <= 1000.0
-                assert op.machines == tuple(sorted(set(op.machines)))
-                assert 1 <= len(op.machines) <= 5
-                for mch, pt in zip(op.machines, op.proc_times):
-                    assert pt == op.workload / inst.machine_rates[mch]
-                assert op.median_proc_time == float(np.median(op.proc_times))
+        for j, release in enumerate(inst.release):
+            assert release > prev
+            prev = release
+            assert inst.weight[j] in (1, 2, 4)
+            assert 2 <= len(inst.workload[j]) <= 10
+            for workload, machines, times, median in zip(
+                inst.workload[j], inst.machines[j], inst.proc_times[j], inst.median[j]
+            ):
+                assert 100.0 <= workload <= 1000.0
+                assert machines == tuple(sorted(set(machines)))
+                assert 1 <= len(machines) <= 5
+                for mch, pt in zip(machines, times):
+                    assert pt == workload / inst.machine_rates[mch]
+                assert median == float(np.median(times))
 
     def test_due_dates_recompute(self):
         inst = generate_instance(SimConfig(num_machines=3, total_jobs=60, warmup_jobs=5), seed=11)
-        for job in inst.jobs:
-            total_median = sum(op.median_proc_time for op in job.operations)
-            assert job.due == pytest.approx(job.release + 1.5 * total_median)
+        for release, due, medians in zip(inst.release, inst.due, inst.median):
+            total_median = sum(medians)
+            assert due == pytest.approx(release + 1.5 * total_median)
 
     def test_weight_mix_within_three_sigma(self):
         n = 2000
@@ -329,8 +312,8 @@ class TestInstanceGeneration:
             SimConfig(num_machines=3, total_jobs=n, warmup_jobs=10), seed=5
         )
         counts = {1: 0, 2: 0, 4: 0}
-        for job in inst.jobs:
-            counts[job.weight] += 1
+        for weight in inst.weight:
+            counts[weight] += 1
         for w, p in ((1, 0.2), (2, 0.6), (4, 0.2)):
             sigma = math.sqrt(n * p * (1 - p))
             assert abs(counts[w] - n * p) < 3 * sigma
@@ -339,8 +322,8 @@ class TestInstanceGeneration:
         n = 3000
         config = SimConfig(num_machines=10, total_jobs=n, warmup_jobs=10)
         inst = generate_instance(config, seed=21)
-        gaps = [inst.jobs[0].release] + [
-            b.release - a.release for a, b in zip(inst.jobs, inst.jobs[1:])
+        gaps = [inst.release[0]] + [
+            b - a for a, b in zip(inst.release, inst.release[1:])
         ]
         target = 1.0 / arrival_rate_for_utilization(config)
         mean_gap = sum(gaps) / n
@@ -351,14 +334,15 @@ class TestInstanceGeneration:
         inst = generate_instance(
             SimConfig(num_machines=3, total_jobs=2000, warmup_jobs=10), seed=8
         )
-        counts = [len(job.operations) for job in inst.jobs]
+        counts = [len(workloads) for workloads in inst.workload]
         # U{2..10}: mean 6, variance (9^2 - 1) / 12.
         sigma = math.sqrt((81 - 1) / 12.0)
         assert abs(sum(counts) / len(counts) - 6.0) < 3 * sigma / math.sqrt(len(counts))
 
 
 # (where, field, value, message fragment): "header", a job index, or a
-# (job, op) index into the golden instance's dump.
+# (job, op) index into the golden instance's dump; "jobs" keeps only the
+# first ``value`` job lines.
 _CORRUPTIONS = [
     ("header", "machine_rates", [10.0, 10.0, 10.0], "2 machine rates"),
     ("header", "machine_rates", [10.0, 0.0], "positive"),
@@ -378,6 +362,7 @@ _CORRUPTIONS = [
     ((0, 0), "machines", [], "sorted"),
     ((0, 0), "proc_times", [31.0], "processing times"),
     ((0, 0), "median", 29.0, "median"),
+    ("jobs", None, 2, "expected 3 jobs, found 2"),
 ]
 
 
@@ -394,8 +379,7 @@ class TestPersistence:
         before, after = tmp_path / "before.jsonl", tmp_path / "after.jsonl"
         text = repr(inst)
         dump_instance(inst, str(before))
-        run_simulation(FIFO_RULES, inst)  # builds and keeps inst.tables
-        assert "tables" in vars(inst)
+        run_simulation(FIFO_RULES, inst)
         assert repr(inst) == text
         dump_instance(inst, str(after))
         assert after.read_bytes() == before.read_bytes()
@@ -440,6 +424,8 @@ class TestPersistence:
         header, *jobs = (json.loads(line) for line in path.read_text().splitlines())
         if where == "header":
             header[field] = value
+        elif where == "jobs":
+            jobs = jobs[:value]
         elif isinstance(where, int):
             jobs[where][field] = value
         else:
@@ -595,13 +581,11 @@ class TestConfigValidation:
             test_seeds=(2,),
         )
         assert s.label == "<Fmean-WTmean, 0.95>"
-        assert s.objective_equation() == "0.2*Fmean + 0.8*WTmean"
         assert s.is_multi_objective
         named = Scenario(
             objectives=("Tmax",), lambdas=(1.0,), training_seeds=(1,), test_seeds=(2,), name="peak"
         )
         assert named.label == "peak"
-        assert named.objective_equation() == "Tmax"
         assert not named.is_multi_objective
 
 
@@ -647,7 +631,7 @@ def _assert_choices_are_argmins(rules: RulePair, out) -> None:
     starts = {(j, k): (t, mch) for t, mch, j, k, kind in out.trace if kind == "start"}
     started_at = {where: op for op, where in starts.items()}
     ready = {(j, k + 1): t for t, _, j, k, kind in out.trace if kind == "complete"}
-    ready.update({(job.id, 0): job.release for job in _GUARD_INSTANCE.jobs})
+    ready.update({(j, 0): release for j, release in enumerate(_GUARD_INSTANCE.release, 1)})
 
     def decision(c):
         return (c[0], c[1], c[2], c[3]) if c[0] == "route" else (c[0], c[1], c[4])
