@@ -176,6 +176,8 @@ def cmd_evolve(args) -> int:
         raise ConfigError("--runs must be >= 1")
     if args.jobs < 1:
         raise ConfigError("--jobs must be >= 1")
+    if args.run_offset < 0:
+        raise ConfigError("--run-offset must be >= 0")
     os.makedirs(args.out, exist_ok=True)
 
     if args.init == "random":

@@ -194,12 +194,13 @@ def init_seeded(
 class FitnessEvaluator:
     """Maps rule pairs to scenario fitness via simulation.
 
-    Caches generated instances (bounded) and the reference heuristic's
-    objectives per seed (needed to normalize multi-objective fitness).
-    Rules whose simulation trips the queue guard get DEGENERATE_FITNESS.
-    Within one evaluator, which serves one GP run, fitness is a pure
-    function of (pair, seed), so ``fitness`` memoises it, guard aborts
-    included; ``evaluations`` counts every call, memo hits included.
+    Caches generated instances (bounded) and memoises one guarded
+    simulation per (pair, seed): its objectives, or None if the queue
+    guard aborted it (fitness DEGENERATE_FITNESS).  Fitness, held-out
+    scores and the reference objectives that normalise multi-objective
+    fitness all read it; only an aborted reference run is repeated
+    without the guard, memoised apart, to normalise the other pairs.
+    ``evaluations`` counts every ``fitness`` call, memo hits included.
     """
 
     def __init__(self, config: SimConfig, scenario: Scenario, max_queue: int | None = None):
@@ -211,8 +212,7 @@ class FitnessEvaluator:
         self.max_queue = max_queue
         self.evaluations = 0
         self._instances: OrderedDict[int, Instance] = OrderedDict()
-        self._reference: dict[int, ObjectiveVector] = {}
-        self._fitness: dict[tuple[RulePair, int], float] = {}
+        self._outcomes: dict[tuple[RulePair, int, bool], ObjectiveVector | None] = {}
 
     def instance(self, seed: int) -> Instance:
         cached = self._instances.get(seed)
@@ -225,31 +225,31 @@ class FitnessEvaluator:
             self._instances.popitem(last=False)
         return inst
 
-    def reference_objectives(self, seed: int) -> ObjectiveVector:
-        if seed not in self._reference:
-            outcome = run_simulation(RulePair.reference(), self.instance(seed))
-            self._reference[seed] = outcome.objectives
-        return self._reference[seed]
+    def _objectives(self, pair: RulePair, seed: int, guarded: bool = True) -> ObjectiveVector | None:
+        """Memoised objectives of ``pair`` on ``seed``; None if the guard aborted the run."""
+        key = (pair, seed, guarded)
+        if key not in self._outcomes:
+            try:
+                outcome = run_simulation(pair, self.instance(seed), max_queue=self.max_queue if guarded else None)
+                self._outcomes[key] = outcome.objectives
+            except QueueOverflow:
+                self._outcomes[key] = None
+        return self._outcomes[key]
 
-    def objectives(self, pair: RulePair, seed: int) -> ObjectiveVector:
-        return run_simulation(pair, self.instance(seed), max_queue=self.max_queue).objectives
+    def reference_objectives(self, seed: int) -> ObjectiveVector:
+        reference = RulePair.reference()
+        objectives = self._objectives(reference, seed)
+        return objectives if objectives is not None else self._objectives(reference, seed, guarded=False)
 
     def fitness(self, pair: RulePair, seed: int) -> float:
         self.evaluations += 1
         return self._fitness_on(pair, seed)
 
     def _fitness_on(self, pair: RulePair, seed: int) -> float:
-        """Memoised fitness of ``pair`` on ``seed``; not counted in ``evaluations``."""
-        key = (pair, seed)
-        value = self._fitness.get(key)
-        if value is None:
-            reference = self.reference_objectives(seed) if self.scenario.is_multi_objective else None
-            try:
-                value = weighted_fitness(self.objectives(pair, seed), self.scenario, reference)
-            except QueueOverflow:
-                value = DEGENERATE_FITNESS
-            self._fitness[key] = value
-        return value
+        """Fitness of ``pair`` on ``seed`` from the memo; not counted in ``evaluations``."""
+        reference = self.reference_objectives(seed) if self.scenario.is_multi_objective else None
+        objectives = self._objectives(pair, seed)
+        return DEGENERATE_FITNESS if objectives is None else weighted_fitness(objectives, self.scenario, reference)
 
     def evaluate_population(self, population: list[Individual], seed: int) -> None:
         """Assign fitness to every individual on the given instance seed."""

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
-
-import requests
+from dataclasses import dataclass, replace
 
 from ..errors import ConfigError
 from .prompts import PromptSpec
@@ -76,8 +74,6 @@ class ProviderConfig:
         return self.endpoint[len("mock:"):]
 
     def with_audit(self, path: str | None) -> "ProviderConfig":
-        from dataclasses import replace
-
         return replace(self, audit_path=path)
 
 
@@ -96,6 +92,7 @@ def _http_post(url: str, payload: dict, headers: dict, timeout: float):
 
     Returns (status_code, parsed_json_or_None).
     """
+    import requests  # deferred: only real endpoints need it, and it is slow to import
     resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
     try:
         data = resp.json()
@@ -141,6 +138,7 @@ def query(provider: ProviderConfig, prompt: PromptSpec) -> str:
         _audit(provider, dict(base, attempt=1, status="ok", reply=reply))
         return reply
 
+    import requests
     key = os.environ.get(provider.credential_env)
     if not key:
         _audit(provider, dict(base, attempt=0, status="auth-error"))

@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import gpshop
 from conftest import make_golden_instance
 from gpshop.cli import main
 from gpshop.gp import EvolutionLog, GenerationStats, GPParams
@@ -314,6 +317,13 @@ class TestEvolve:
         assert main(base + ["--scenario", "ghost"]) == 2
         capsys.readouterr()
 
+    def test_negative_run_offset_exit_2(self, ws, tmp_path, capsys):
+        out = tmp_path / "r"
+        argv = ["evolve", "--config", str(ws / "tiny.yaml"), "--run-offset", "-2", "--runs", "3", "--out", str(out)]
+        assert main(argv) == 2
+        assert "--run-offset must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestInitLlm:
     def test_writes_seeds_insights_audit(self, ws, tmp_path, capsys):
@@ -515,3 +525,14 @@ class TestTopLevel:
     def test_missing_subcommand_exits_2(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
+
+
+def test_cli_import_leaves_requests_unloaded():
+    """Only real LLM endpoints use requests; a fresh CLI process must not import it."""
+    src = os.path.dirname(os.path.dirname(gpshop.__file__))
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); from gpshop import cli; "
+        "from gpshop.records import load_config; load_config(); print('requests' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

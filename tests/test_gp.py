@@ -24,7 +24,7 @@ from gpshop.gp import (
     tournament_select,
 )
 from gpshop.rules import RulePair
-from gpshop.sim import Scenario, SimConfig, run_simulation, weighted_fitness
+from gpshop.sim import QueueOverflow, Scenario, SimConfig, run_simulation, weighted_fitness
 
 SMALL_CONFIG = SimConfig(num_machines=3, total_jobs=40, warmup_jobs=5)
 SMALL_SCENARIO = Scenario(
@@ -33,6 +33,13 @@ SMALL_SCENARIO = Scenario(
     utilization=0.8,
     training_seeds=(1, 2),
     test_seeds=(3,),
+)
+MULTI_SCENARIO = Scenario(
+    objectives=("Fmean", "WTmean"),
+    lambdas=(0.2, 0.8),
+    utilization=0.8,
+    training_seeds=(1,),
+    test_seeds=(3, 4),
 )
 
 
@@ -401,6 +408,42 @@ class TestFitnessEvaluator:
         assert ev.fitness(pair, seed=1) == DEGENERATE_FITNESS
         assert simulated == [1]
         assert ev.evaluations == 2
+
+    def test_reference_pair_is_simulated_once_per_seed(self, monkeypatch):
+        simulated = self.spy_on_simulations(monkeypatch)
+        ev = FitnessEvaluator(SMALL_CONFIG, MULTI_SCENARIO)
+        # Its guarded run both normalises and scores the reference pair.
+        assert ev.test_performance(RulePair.reference()) == 1.0
+        assert simulated == [3, 4]
+
+    def test_reference_objectives_share_the_fitness_memo(self, monkeypatch):
+        simulated = self.spy_on_simulations(monkeypatch)
+        ev = FitnessEvaluator(SMALL_CONFIG, MULTI_SCENARIO)
+        ev.reference_objectives(1)
+        assert simulated == [1]
+        assert ev.fitness(RulePair.reference(), seed=1) == 1.0
+        assert simulated == [1]
+
+    def test_reference_guard_abort_normalises_by_unguarded_run(self, monkeypatch):
+        reference = RulePair.reference()
+        runs: list[tuple[bool, bool]] = []  # (is the reference, guarded)
+
+        def guard_trips_reference(pair, instance, max_queue=None, **kwargs):
+            runs.append((pair == reference, max_queue is not None))
+            if pair == reference and max_queue is not None:
+                raise QueueOverflow(0, 0.0, max_queue)
+            return run_simulation(pair, instance, max_queue=max_queue, **kwargs)
+
+        monkeypatch.setattr(gp_module, "run_simulation", guard_trips_reference)
+        ev = FitnessEvaluator(SMALL_CONFIG, MULTI_SCENARIO)
+        unguarded = run_simulation(reference, ev.instance(1)).objectives
+        assert ev.fitness(reference, seed=1) == DEGENERATE_FITNESS
+        assert ev.reference_objectives(1) == unguarded
+        pair = RulePair.from_text("NIQ", "SLACK")
+        expected = weighted_fitness(run_simulation(pair, ev.instance(1)).objectives, MULTI_SCENARIO, unguarded)
+        assert ev.fitness(pair, seed=1) == expected
+        assert ev.fitness(pair, seed=1) == expected
+        assert runs == [(True, True), (True, False), (False, True)]
 
     def test_instance_cache_reuses_objects(self):
         ev = FitnessEvaluator(SMALL_CONFIG, SMALL_SCENARIO)
