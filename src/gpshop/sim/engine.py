@@ -23,6 +23,10 @@ Event semantics:
 * A machine's ready time is the completion time of the operation it is
   working on, or the moment it last fell idle; MWT = now - ready time is
   therefore negative while the machine is busy.
+* Event order: releases come from the release column in (time, job)
+  order and precede any arrival or completion at the same instant.
+  Arrivals and completions run in time order, ties in the order they were
+  scheduled.
 
 The run ends when every job has completed; machine utilization is
 measured as total busy time over num_machines * end time.
@@ -32,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
 from ..expr import TERMINAL_ORDER, DecisionContext, expression_source, terminal_histogram
@@ -44,7 +48,6 @@ from .objectives import CompletedJob, ObjectiveVector, compute_objectives
 if TYPE_CHECKING:
     from ..rules import RulePair
 
-_READY = 0
 _ARRIVE = 1
 _COMPLETE = 2
 
@@ -236,6 +239,12 @@ def run_simulation(
     pin.  ``max_queue`` aborts the
     run with QueueOverflow once any machine holds more committed
     operations, which fitness evaluators use to prune degenerate rules.
+
+    Jobs are released in (release time, job) order, read from the release
+    column, and each release runs before any arrival or completion at the
+    same instant.  Only arrivals and completions go through the event
+    heap, in time order with ties in scheduling order, so it holds just
+    the events in flight.
     """
     cfg = instance.config
 
@@ -268,10 +277,11 @@ def run_simulation(
     trace: list[tuple] | None = [] if record_trace else None
     contexts: list[tuple] | None = [] if capture_contexts else None
 
-    # Event keys (time, sequence number) are unique; releases take 0..n-1.
-    heap: list[tuple] = [(release[j], j, _READY, j, -1) for j in range(n_jobs)]
-    heapify(heap)
-    seq_counter = n_jobs
+    # Heap keys (time, sequence number) are unique.
+    order = sorted(range(n_jobs), key=release.__getitem__)
+    released = 0
+    heap: list[tuple] = []
+    seq_counter = 0
 
     n_done = 0
     end_time = 0.0
@@ -315,7 +325,15 @@ def run_simulation(
         if trace is not None:
             trace.append((t, mch, j + 1, k, "start"))
 
-    while heap:
+    while True:
+        # A release precedes any event at the same instant.
+        if released < n_jobs and (not heap or release[order[released]] <= heap[0][0]):
+            j = order[released]
+            released += 1
+            route_op(j, release[j])
+            continue
+        if not heap:
+            break
         t, _, kind, j, mch = heappop(heap)
         if kind == _COMPLETE:
             k = cur_op[j]
@@ -342,12 +360,10 @@ def run_simulation(
                     end_time = t
                     break
             dispatch(mch, t)
-        elif kind == _ARRIVE:
+        else:  # _ARRIVE
             queues[mch].append(in_transit[j])
             if not busy[mch]:
                 dispatch(mch, t)
-        else:  # _READY: job released at the shop entry
-            route_op(j, t)
 
     if n_done < n_jobs:
         raise SimulationStalled(f"only {n_done} of {n_jobs} jobs completed")

@@ -165,9 +165,10 @@ def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
         machine_distances.append(tuple([row[i] for row in machine_distances] + [0.0] + right))
         start += m - 1 - i
 
-    def split(values: list, ends: list) -> tuple:
+    def split(values: list | tuple, ends: list) -> tuple:
         """``values`` cut into tuples that end at ``ends``."""
-        return tuple(tuple(values[a:b]) for a, b in zip([0, *ends], ends))
+        values = tuple(values)
+        return tuple([values[a:b] for a, b in zip([0, *ends], ends)])
 
     op_ends, job_ends = np.cumsum(sizes).tolist(), np.cumsum(n_ops).tolist()
     op_times = split((np.repeat(workloads, sizes) / rates[machines]).tolist(), op_ends)

@@ -185,6 +185,69 @@ class TestCommittedAccounting:
         assert m1.TRANT == 20.0
 
 
+def _tie_instance(jobs: tuple) -> Instance:
+    config = SimConfig(
+        num_machines=2,
+        total_jobs=len(jobs),
+        warmup_jobs=0,
+        utilization=0.5,
+        rate_range=(10.0, 10.0),
+        workload_range=(100, 300),
+        ops_per_job_range=(1, 2),
+        distance_range=(50, 100),
+    )
+    return build_instance(config, (10.0, 10.0), jobs)
+
+
+def _starts(instance: Instance) -> dict:
+    """(job, op) -> (start, machine) under WIQ routing, PT sequencing."""
+    out = run_simulation(RulePair.from_text("WIQ", "PT"), instance, record_trace=True)
+    assert validate_trace(out.trace, instance) == []
+    return {(j, k): (t, m) for t, m, j, k, kind in out.trace if kind == "start"}
+
+
+class TestEventOrder:
+    """Same-instant events: releases first, in job order.  Worked by hand.
+
+    Transport takes 10 from the entry to M0, 20 to M1 and 15 between the
+    machines; every operation takes 10 per 100 units of work.  WIQ routing
+    breaks ties to M0, so the order in which jobs are routed decides where
+    they go.
+    """
+
+    def test_release_is_routed_before_a_completion_at_the_same_time(self):
+        # J1 op0 completes on M0 at t=20, when J2 is released.  J2 is
+        # routed first, onto the tied M0; J1 op1 then sees WIQ 10 on M0 and
+        # goes to M1.  Completion first would send J1 op1 to M0 (no
+        # transport, start 20) and J2 to M1 (start 40).
+        inst = _tie_instance((
+            (0.0, 1, 100.0, ((100.0, (0,)), (100.0, (0, 1)))),
+            (20.0, 1, 100.0, ((100.0, (0, 1)),)),
+        ))
+        assert _starts(inst) == {(1, 0): (10.0, 0), (2, 0): (30.0, 0), (1, 1): (35.0, 1)}
+
+    def test_equal_releases_are_routed_in_job_order(self):
+        # J1 takes the tied M0 (WIQ 10), J2 the empty M1 (WIQ 20), J3 the
+        # lighter M0, where it waits for J1.
+        inst = _tie_instance((
+            (0.0, 1, 100.0, ((100.0, (0, 1)),)),
+            (0.0, 1, 100.0, ((200.0, (0, 1)),)),
+            (0.0, 1, 100.0, ((100.0, (0, 1)),)),
+        ))
+        assert _starts(inst) == {(1, 0): (10.0, 0), (2, 0): (20.0, 1), (3, 0): (20.0, 0)}
+
+    def test_out_of_order_releases_run_in_time_order(self):
+        # load_instance rejects decreasing releases; the constructor does
+        # not.  J2 and J3 (t=0) are routed before J1 (t=5): J2 to the tied
+        # M0, J3 to M1, J1 to the lighter M0, where it waits for J2.
+        inst = _tie_instance((
+            (5.0, 1, 100.0, ((100.0, (0, 1)),)),
+            (0.0, 1, 100.0, ((100.0, (0, 1)),)),
+            (0.0, 1, 100.0, ((200.0, (0, 1)),)),
+        ))
+        assert _starts(inst) == {(2, 0): (10.0, 0), (3, 0): (20.0, 1), (1, 0): (20.0, 0)}
+
+
 class TestObjectives:
     def test_worked_example(self):
         jobs = [
@@ -476,6 +539,7 @@ class TestEngineBehaviour:
         with pytest.raises(QueueOverflow) as exc_info:
             run_simulation(degenerate, inst, max_queue=40)
         assert exc_info.value.limit == 40
+        assert (exc_info.value.machine, exc_info.value.time) == (0, 6805.405473141113)
         # A sane routing rule stays far below the same guard.
         run_simulation(RulePair.from_text("WIQ", "PT"), inst, max_queue=40)
 
@@ -706,3 +770,25 @@ class TestEngineProperties:
             lines.append(repr(run_simulation(rules, inst).objectives))
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "23399184ff8b8d36bd87c4654c9ef078de1a2bb2194c24f7088d478ff5e3088a"
+
+    def test_guarded_outcomes_digest_is_pinned(self):
+        """16 ramped pairs (depth 2-6, full/grow) under the guard on a 1,000-job, 0.95-load instance.
+
+        Each pair adds the repr of its objectives, or the QueueOverflow
+        machine, time and limit; 12 of the 16 abort.  The instance is
+        generated, so the digest pins the generator as well as the
+        simulator.
+        """
+        inst = generate_instance(SimConfig(total_jobs=1000, warmup_jobs=100, utilization=0.95), seed=37)
+        rng = np.random.default_rng(2025)
+        lines = []
+        for i in range(16):
+            mode = "full" if i % 2 == 0 else "grow"
+            depths = (2 + (i // 2) % 5,) * 2
+            rules = RulePair(routing=random_tree(rng, mode, depths), sequencing=random_tree(rng, mode, depths))
+            try:
+                lines.append(repr(run_simulation(rules, inst, max_queue=100).objectives))
+            except QueueOverflow as exc:
+                lines.append(repr((exc.machine, exc.time, exc.limit)))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "b0753d1c5feb4c46a9c8854f09a79c2dcd3ad8c8d90fb0e14df56438497b4e3a"
