@@ -33,6 +33,7 @@ __all__ = [
     "TERMINAL_ORDER",
     "FUNCTION_ORDER",
     "MAX_MAGNITUDE",
+    "MAX_INSTANCE_VALUE",
     "evaluate",
     "compile_expression",
     "expression_source",
@@ -85,11 +86,22 @@ TERMINAL_ORDER: tuple[Terminal, ...] = tuple(Terminal)
 FUNCTION_ORDER: tuple[Function, ...] = tuple(Function)
 
 # Saturation bound applied to multiplication and division results.  Leaves
-# stay raw and +/-/min/max pass through, so any tree of depth <= 8 stays
-# finite as long as every context value is below this bound (a depth-8 tree
-# can chain at most 7 additions above a saturated product, i.e. a factor of
-# 128, which still fits comfortably inside the double range).
+# stay raw and +/-/min/max pass through, so a rule's score is finite, with
+# no check on it, under two preconditions:
+#
+# * the tree is at most MAX_DEPTH deep: at most 7 additions or subtractions
+#   chain above a leaf or a saturated product, so |score| <= 128 * 1e300;
+# * every terminal is below MAX_MAGNITUDE.  Terminals are built from the
+#   instance's releases, due dates, weights, processing times and travel
+#   times (distance / transport_speed), each below MAX_INSTANCE_VALUE.  With
+#   fewer than 1e15 operations the clock stays below the last release plus
+#   all processing and travel time, about 2e295, and so does every terminal.
+#
+# ``rules.check_depth`` enforces the first on every pair the simulator
+# compiles; ``sim.instance`` enforces the second on every instance it
+# generates or loads.
 MAX_MAGNITUDE = 1e300
+MAX_INSTANCE_VALUE = 1e280
 
 MAX_DEPTH = 8
 

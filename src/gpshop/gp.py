@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .expr import (
     Expression,
     MAX_DEPTH,
@@ -25,7 +25,7 @@ from .expr import (
     subtree_at,
 )
 from .fileio import write_text_atomic
-from .rules import RulePair
+from .rules import RulePair, check_depth
 from .sim.config import Scenario, SimConfig
 from .sim.engine import QueueOverflow, run_simulation
 from .sim.instance import Instance, generate_instance
@@ -178,9 +178,10 @@ def init_seeded(
     accepted: list[Individual] = []
     rejections: list[SeedRejection] = []
     for index, pair in enumerate(seed_rules):
-        d = max(depth(pair.routing), depth(pair.sequencing))
-        if d > params.max_depth:
-            rejections.append(SeedRejection(index=index, cause=f"max depth exceeded ({d} > {params.max_depth})"))
+        try:
+            check_depth(pair)
+        except DataError as exc:
+            rejections.append(SeedRejection(index=index, cause=str(exc)))
             continue
         if len(accepted) < params.population_size:
             accepted.append(Individual(genome=pair, origin="llm-seeded"))

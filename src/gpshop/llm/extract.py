@@ -11,8 +11,7 @@ import re
 from dataclasses import dataclass, field
 
 from ..errors import DataError
-from ..expr import MAX_DEPTH, depth
-from ..rules import RulePair, rules_from_text
+from ..rules import RulePair, check_depth, rules_from_text
 
 _FENCE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
 _RULE_LINE = re.compile(r"(?mi)^\s*(routing|sequencing)\s*:")
@@ -48,14 +47,9 @@ def extract_heuristics(reply: str) -> ExtractionResult:
         snippet = block.strip()
         try:
             pair = rules_from_text(block)
+            check_depth(pair)
         except DataError as exc:
             result.rejected.append(RejectedCandidate(snippet=snippet, cause=str(exc)))
-            continue
-        d = max(depth(pair.routing), depth(pair.sequencing))
-        if d > MAX_DEPTH:
-            result.rejected.append(
-                RejectedCandidate(snippet=snippet, cause=f"max depth exceeded ({d} > {MAX_DEPTH})")
-            )
             continue
         result.accepted.append(pair)
     prose = _FENCE.sub("", reply)

@@ -90,15 +90,32 @@ def build_request(provider: ProviderConfig, prompt: PromptSpec) -> dict:
 def _http_post(url: str, payload: dict, headers: dict, timeout: float):
     """The only network touchpoint; tests monkeypatch this.
 
-    Returns (status_code, parsed_json_or_None).
+    Returns (status_code, parsed_json_or_None), error statuses included.
+    Raises TimeoutError or urllib.error.URLError when no reply arrives.
     """
-    import requests  # deferred: only real endpoints need it, and it is slow to import
-    resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
+    import urllib.request  # deferred: only real endpoints need it, and it is slow to import
+    from urllib.error import HTTPError, URLError
+
+    request = urllib.request.Request(
+        url, data=json.dumps(payload).encode(), headers={**headers, "Content-Type": "application/json"}
+    )
     try:
-        data = resp.json()
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            status, body = resp.status, resp.read()
+    except HTTPError as exc:
+        with exc:
+            status, body = exc.code, exc.read()
+    except URLError as exc:
+        if isinstance(exc.reason, TimeoutError):  # urlopen wraps a connect timeout
+            raise exc.reason from None
+        raise
+    except ConnectionError as exc:  # the peer hung up after the request was sent
+        raise URLError(exc) from exc
+    try:
+        data = json.loads(body)
     except ValueError:
         data = None
-    return resp.status_code, data
+    return status, data
 
 
 def _audit(provider: ProviderConfig, record: dict) -> None:
@@ -138,7 +155,8 @@ def query(provider: ProviderConfig, prompt: PromptSpec) -> str:
         _audit(provider, dict(base, attempt=1, status="ok", reply=reply))
         return reply
 
-    import requests
+    from urllib.error import URLError  # deferred with the transport itself
+
     key = os.environ.get(provider.credential_env)
     if not key:
         _audit(provider, dict(base, attempt=0, status="auth-error"))
@@ -152,11 +170,11 @@ def query(provider: ProviderConfig, prompt: PromptSpec) -> str:
     for attempt in range(1, attempts + 1):
         try:
             status, data = _http_post(provider.endpoint, payload, headers, provider.timeout)
-        except requests.Timeout:
+        except TimeoutError:
             failure = "timeout"
             _audit(provider, dict(base, attempt=attempt, status="timeout", request=payload))
             continue
-        except requests.ConnectionError as exc:
+        except URLError as exc:
             failure = f"connection error: {exc}"
             _audit(provider, dict(base, attempt=attempt, status="connection-error", request=payload))
             continue

@@ -9,9 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DataError
-from .expr import Expression, ExprError, format_expr, parse
+from .expr import MAX_DEPTH, Expression, ExprError, depth, format_expr, parse
 
-__all__ = ["RulePair", "rules_to_text", "rules_from_text", "REFERENCE_ROUTING", "REFERENCE_SEQUENCING"]
+__all__ = ["RulePair", "check_depth", "rules_to_text", "rules_from_text", "REFERENCE_ROUTING", "REFERENCE_SEQUENCING"]
 
 # Baseline heuristics used as the normalization reference everywhere:
 # route to the machine with the least waiting work, then shortest
@@ -32,6 +32,13 @@ class RulePair:
     @classmethod
     def reference(cls) -> "RulePair":
         return cls.from_text(REFERENCE_ROUTING, REFERENCE_SEQUENCING)
+
+
+def check_depth(pair: RulePair) -> None:
+    """Raise DataError if either rule is deeper than MAX_DEPTH, which keeps scores finite (``expr.MAX_MAGNITUDE``)."""
+    d = max(depth(pair.routing), depth(pair.sequencing))
+    if d > MAX_DEPTH:
+        raise DataError(f"max depth exceeded ({d} > {MAX_DEPTH})")
 
 
 def rules_to_text(pair: RulePair) -> str:

@@ -3,12 +3,10 @@ from __future__ import annotations
 
 from .config import OBJECTIVE_KEYS, Scenario, SimConfig  # noqa: F401
 from .engine import (  # noqa: F401
-    NonFiniteScore,
     QueueOverflow,
     SimOutcome,
     SimulationStalled,
     run_simulation,
-    trace_to_csv,
     validate_trace,
 )
 from .instance import (  # noqa: F401

@@ -37,16 +37,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING
 
 from ..expr import TERMINAL_ORDER, DecisionContext, expression_source, terminal_histogram
 from ..expr import compile_expression  # noqa: F401  unused; perfbench/spans.py hooks it here by name
-from ..fileio import write_text_atomic
+from ..rules import RulePair, check_depth
 from .instance import Instance
 from .objectives import CompletedJob, ObjectiveVector, compute_objectives
-
-if TYPE_CHECKING:
-    from ..rules import RulePair
 
 _ARRIVE = 1
 _COMPLETE = 2
@@ -56,10 +52,6 @@ _INF = math.inf
 
 class SimulationStalled(RuntimeError):
     """The event queue drained before every job completed (engine bug)."""
-
-
-class NonFiniteScore(RuntimeError):
-    """A rule produced a non-finite priority (impossible for in-range inputs)."""
 
 
 class QueueOverflow(RuntimeError):
@@ -134,8 +126,6 @@ def _bind(niq, wiq, mrt, release, due, weight, n_ops, npt, wkr, _record):
         for i, mch in enumerate(machs):
 {route_machine}
             s = {route_body}
-            if not (-_INF < s < _INF):
-                raise NonFiniteScore(f"routing rule returned {{s!r}}")
             if s < best:
                 best = s
                 chosen = i
@@ -150,8 +140,6 @@ def _bind(niq, wiq, mrt, release, due, weight, n_ops, npt, wkr, _record):
         for i, (j, k, ready_t, PT, TRANT, NPT, WKR, NOR) in enumerate(queue):
 {sequence_operation}
             s = {sequence_body}
-            if not (-_INF < s < _INF):
-                raise NonFiniteScore(f"sequencing rule returned {{s!r}}")
             if s < best or (s == best and (ready_t, j) < (best_ready, best_job)):
                 best = s
                 best_ready = ready_t
@@ -169,7 +157,7 @@ def _bindings(statements: dict[str, str], reads: set[str], indent: str) -> str:
 
 
 def compile_choosers(
-    rules: "RulePair", niq: list, wiq: list, mrt: list, instance: Instance, n_ops: list[int], record=None
+    rules: RulePair, niq: list, wiq: list, mrt: list, instance: Instance, n_ops: list[int], record=None
 ):
     """Generate the simulator's two decision functions for one rule pair.
 
@@ -189,7 +177,12 @@ def compile_choosers(
     same.  The generated
     source is compiled once and the compiled factory kept, so a pair met
     again, on another seed or instance, is only rebound.
+
+    Raises DataError for a rule deeper than ``MAX_DEPTH``: the depth cap
+    and the instance value bound are what keep every score finite (see
+    ``expr.MAX_MAGNITUDE``), so the candidate loops test no score.
     """
+    check_depth(rules)
     if record is None:
         route_reads = {t.name for t in terminal_histogram(rules.routing)}
         sequence_reads = {t.name for t in terminal_histogram(rules.sequencing)}
@@ -216,13 +209,13 @@ def compile_choosers(
 @lru_cache(maxsize=256)
 def _compiled_bind(src: str):
     """The ``_bind`` factory that ``src`` defines, compiled once per source."""
-    namespace: dict = {"_INF": _INF, "NonFiniteScore": NonFiniteScore, "_Context": DecisionContext}
+    namespace: dict = {"_INF": _INF, "_Context": DecisionContext}
     exec(compile(src, "<choosers>", "exec"), namespace)
     return namespace["_bind"]
 
 
 def run_simulation(
-    rules: "RulePair",
+    rules: RulePair,
     instance: Instance,
     record_trace: bool = False,
     capture_contexts: bool = False,
@@ -450,9 +443,3 @@ def validate_trace(trace: list[tuple], instance: Instance) -> list[str]:
                     f"machine {mch}: job {j1} op {o1} [{s1}, {c1}] overlaps job {j2} op {o2} [{s2}, {c2}]"
                 )
     return problems
-
-
-def trace_to_csv(trace: list[tuple], path: str) -> None:
-    """Write trace rows as CSV (time, machine, job, op, event); op is 0-based."""
-    rows = [f"{time!r},{mch},{job_id},{op_idx},{kind}\n" for time, mch, job_id, op_idx, kind in trace]
-    write_text_atomic(path, "time,machine,job,op,event\n" + "".join(rows))

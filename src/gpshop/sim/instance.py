@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import ConfigError, DataError
+from ..expr import MAX_INSTANCE_VALUE
 from ..fileio import write_text_atomic
 from .config import SimConfig
 
@@ -111,6 +112,25 @@ def _eligible_machines(rng: np.random.Generator, m: int, sizes: np.ndarray) -> n
     return np.concatenate(chosen)
 
 
+def _check_magnitudes(release, due, weight, proc_times, travel) -> None:
+    """Raise ValueError unless every value lies strictly within +/-MAX_INSTANCE_VALUE.
+
+    NaN fails too.  This bound is what keeps every rule terminal, and so
+    every rule score, finite (see ``expr.MAX_MAGNITUDE``).
+    """
+    columns = {
+        "release": release, "due date": due, "weight": weight,
+        "processing time": proc_times, "travel time": travel,
+    }
+    for name, values in columns.items():
+        values = np.asarray(values, dtype=float)
+        bad = ~(np.abs(values) < MAX_INSTANCE_VALUE)
+        if bad.any():
+            raise ValueError(
+                f"{name} {float(values[bad][0])!r} is outside (-{MAX_INSTANCE_VALUE:g}, {MAX_INSTANCE_VALUE:g})"
+            )
+
+
 def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
     """Sample a full instance from ``np.random.default_rng(seed)``.
 
@@ -137,6 +157,9 @@ def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
     ``statistics.median`` of the operation's processing times, and a due
     date is ``release + due_date_factor * total_median``, the medians
     summed in operation order.
+
+    Raises ConfigError if a release, due date, weight, processing time or
+    travel time is not within +/-MAX_INSTANCE_VALUE.
     """
     if seed is None:
         seed = config.seed
@@ -171,7 +194,8 @@ def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
         return tuple([values[a:b] for a, b in zip([0, *ends], ends)])
 
     op_ends, job_ends = np.cumsum(sizes).tolist(), np.cumsum(n_ops).tolist()
-    op_times = split((np.repeat(workloads, sizes) / rates[machines]).tolist(), op_ends)
+    proc_times = np.repeat(workloads, sizes) / rates[machines]
+    op_times = split(proc_times.tolist(), op_ends)
     medians = split([statistics.median(times) for times in op_times], job_ends)
     releases = releases.tolist()
     due = []
@@ -180,6 +204,10 @@ def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
         for med in job_medians:
             total_median += med
         due.append(release + config.due_date_factor * total_median)
+    try:
+        _check_magnitudes(releases, due, weights, proc_times, distances / config.transport_speed)
+    except ValueError as exc:
+        raise ConfigError(f"the config generates an out-of-range instance: {exc}") from exc
 
     return Instance(
         config=config,
@@ -284,6 +312,11 @@ def _check_instance(instance: Instance) -> None:
         raise ValueError("distances must be non-negative and finite")
     if len(instance.release) != config.total_jobs:
         raise ValueError(f"expected {config.total_jobs} jobs, found {len(instance.release)}")
+    _check_magnitudes(
+        instance.release, instance.due, instance.weight,
+        [t for job in instance.proc_times for times in job for t in times],
+        [d / config.transport_speed for row in (instance.entry_distances, *instance.machine_distances) for d in row],
+    )
     weights = {w for w, _ in config.weight_mix}
     previous = -math.inf
     columns = zip(

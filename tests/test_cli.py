@@ -78,6 +78,10 @@ INSIGHTS: Keep queues short and prefer near machines.
 """
 
 
+# One level over the depth cap of 8.
+DEEP_RULE = "(" * 8 + "PT" + " + PT)" * 8
+
+
 def canonical(routing: str, sequencing: str) -> str:
     return rules_to_text(rules_from_text(f"routing: {routing}\nsequencing: {sequencing}"))
 
@@ -129,6 +133,15 @@ class TestGenInstance:
         assert main(["gen-instance", "--jobs", "0", "--out", str(ws / "x.jsonl")]) == 2
         assert main(["gen-instance", "--utilization", "1.2", "--out", str(ws / "x.jsonl")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_out_of_range_values_exit_2(self, ws, capsys):
+        """Machine rates of 1e-300 put releases and processing times past the instance value bound."""
+        config = ws / "slow-machines.yaml"
+        config.write_text(TINY_YAML.replace("sim:\n", "sim:\n  rate_range: [1.0e-300, 1.0e-300]\n"))
+        out = ws / "slow-machines.jsonl"
+        assert main(["gen-instance", "--config", str(config), "--out", str(out)]) == 2
+        assert "out-of-range instance" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +213,24 @@ class TestSimulate:
         _, rules_path = golden_files
         assert main(["simulate", "--rules", str(rules_path), "--instance", str(ws / "ghost.jsonl")]) == 4
 
+    def test_infinite_release_exit_4(self, ws, golden_files, capsys):
+        inst_path, rules_path = golden_files
+        *rest, last = inst_path.read_text().splitlines(keepends=True)
+        job = json.loads(last)
+        job["release"] = float("inf")
+        bad = ws / "inf-release.jsonl"
+        bad.write_text("".join(rest) + json.dumps(job) + "\n")
+        assert main(["simulate", "--rules", str(rules_path), "--instance", str(bad)]) == 4
+        err = capsys.readouterr().err
+        assert "data error" in err and "inf-release.jsonl" in err and "release inf is outside" in err
+
+    def test_too_deep_rule_exit_4(self, ws, golden_files, capsys):
+        inst_path, _ = golden_files
+        deep = ws / "deep-rules.txt"
+        deep.write_text(f"routing: {DEEP_RULE}\nsequencing: PT\n")
+        assert main(["simulate", "--rules", str(deep), "--instance", str(inst_path)]) == 4
+        assert "max depth exceeded (9 > 8)" in capsys.readouterr().err
+
 
 class TestEvolve:
     def test_outputs_and_seed_derivation(self, ws, runs_random):
@@ -261,6 +292,19 @@ class TestEvolve:
         assert rec.meta["method"] == "gp-file"
         assert rec.meta["init_mode"] == "file"
         assert rec.meta["seed_genomes"] == [canonical("WIQ", "PT"), canonical("PT", "WIQ")]
+
+    def test_too_deep_seed_rejected_and_run_continues(self, ws):
+        seeds = ws / "seeds-deep.txt"
+        seeds.write_text(f"routing: WIQ\nsequencing: PT\n\nrouting: {DEEP_RULE}\nsequencing: PT\n")
+        out = ws / "runs-deep"
+        argv = [
+            "evolve", "--config", str(ws / "tiny.yaml"), "--init", "file",
+            "--seeds-file", str(seeds), "--seed", "1", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        rec = read_run_record(str(out / "run-0.jsonl"))
+        assert rec.meta["seed_rejections"] == [{"index": 1, "cause": "max depth exceeded (9 > 8)"}]
+        assert (out / "run-0.best.txt").exists()
 
     def test_init_llm_mock(self, ws):
         out = ws / "runs-llm"
@@ -389,6 +433,18 @@ class TestExplain:
         ]
         assert main(argv) == 0
         assert "Held-out test fitness: " in out.read_text()
+
+    def test_evaluate_too_deep_rule_exit_4(self, ws, tmp_path, capsys):
+        deep = tmp_path / "deep-best.txt"
+        deep.write_text(f"routing: PT\nsequencing: {DEEP_RULE}\n")
+        out = tmp_path / "report.md"
+        argv = [
+            "explain", "--config", str(ws / "tiny.yaml"), "--best", str(deep),
+            "--provider", f"mock:{ws / 'mock'}", "--evaluate", "--out", str(out),
+        ]
+        assert main(argv) == 4
+        assert "max depth exceeded (9 > 8)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_degraded_report_exit_3(self, ws, best_file, tmp_path, capsys):
         empty_mock = tmp_path / "empty-mock"
@@ -528,11 +584,12 @@ class TestTopLevel:
 
 
 def test_cli_import_leaves_requests_unloaded():
-    """Only real LLM endpoints use requests; a fresh CLI process must not import it."""
+    """Only real LLM endpoints use HTTP; a fresh CLI process imports neither requests nor urllib.request."""
     src = os.path.dirname(os.path.dirname(gpshop.__file__))
     probe = (
         f"import sys; sys.path.insert(0, {src!r}); from gpshop import cli; "
-        "from gpshop.records import load_config; load_config(); print('requests' in sys.modules)"
+        "from gpshop.records import load_config; load_config(); "
+        "print('requests' in sys.modules, 'urllib.request' in sys.modules)"
     )
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"

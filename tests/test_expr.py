@@ -1,6 +1,7 @@
 """Rule-language tests: grammar, evaluation semantics, generation, metrics."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,9 @@ from hypothesis import strategies as st
 from gpshop.expr import (
     ArityError,
     DecisionContext,
+    MAX_DEPTH,
+    MAX_INSTANCE_VALUE,
+    MAX_MAGNITUDE,
     Expression,
     ExprSyntaxError,
     Function,
@@ -29,6 +33,8 @@ from gpshop.expr import (
     subtree_at,
     terminal_histogram,
 )
+from gpshop.rules import RulePair
+from gpshop.sim import OBJECTIVE_KEYS, run_simulation
 
 CTX = DecisionContext(*[float(v) for v in range(1, 14)])
 
@@ -246,6 +252,55 @@ def test_depth_capped_trees_are_total(seed, ctx):
     rng = np.random.default_rng(seed)
     tree = random_tree(rng, "grow", (2, 8))
     assert math.isfinite(evaluate(tree, ctx))
+
+
+def _worst_case_tree() -> Expression:
+    """The full depth-8 tree of + over 64 alternating * and / nodes, leaves cycling the terminals.
+
+    Only * and / saturate, at 1e300, far above any terminal the instance
+    value bound allows, and + grows a value most: no rule within the
+    depth cap scores larger.
+    """
+    leaves = itertools.cycle(TERMINAL_ORDER)
+    level = [
+        Expression.call(
+            Function.MUL if i % 2 == 0 else Function.DIV, Expression.leaf(next(leaves)), Expression.leaf(next(leaves))
+        )
+        for i in range(64)
+    ]
+    while len(level) > 1:
+        level = [Expression.call(Function.ADD, a, b) for a, b in zip(level[::2], level[1::2])]
+    return level[0]
+
+
+WORST_CASE = _worst_case_tree()
+WORST_CASE_RULE = compile_expression(WORST_CASE)
+
+# Terminal values at the instance value bound and just under the
+# saturation bound, of both signs, with zeros (protected denominators)
+# and the smallest subnormal (a denominator that saturates the quotient).
+_EXTREMES = tuple(
+    sign * v for v in (MAX_INSTANCE_VALUE, 0.99 * MAX_MAGNITUDE, 5e-324, 0.0) for sign in (1.0, -1.0)
+)
+extreme_context_strategy = st.builds(DecisionContext, *[st.sampled_from(_EXTREMES) for _ in range(13)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(extreme_context_strategy)
+def test_worst_case_depth_capped_tree_is_finite(ctx):
+    """What lets the simulator's choosers use a score without testing it: finite, and compiled == interpreted."""
+    score = evaluate(WORST_CASE, ctx)
+    assert math.isfinite(score) and abs(score) <= 64 * MAX_MAGNITUDE
+    assert same_float(WORST_CASE_RULE(*ctx.as_args()), score)
+
+
+def test_worst_case_tree_reaches_saturation_and_simulates(golden_instance):
+    assert depth(WORST_CASE) == MAX_DEPTH
+    # Every product saturates at 1e300 and every quotient is 1.0.
+    assert evaluate(WORST_CASE, DecisionContext(*[MAX_INSTANCE_VALUE] * 13)) >= 32 * MAX_MAGNITUDE
+    outcome = run_simulation(RulePair(WORST_CASE, WORST_CASE), golden_instance)
+    assert len(outcome.completed) == 3
+    assert all(math.isfinite(outcome.objectives.get(key)) for key in OBJECTIVE_KEYS)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,11 +1,16 @@
 """LLM bridge tests: prompt rendering, transport, extraction, reports."""
 from __future__ import annotations
 
+import http.server
 import json
+import socket
+import threading
+import time
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -256,7 +261,7 @@ class TestQuery:
 
     def test_timeout_uses_whole_retry_budget(self, prompt, monkeypatch, tmp_path):
         monkeypatch.setenv("LLM_API_KEY", "sk-test")
-        spy = SpyTransport([requests.Timeout(), requests.Timeout(), requests.Timeout()])
+        spy = SpyTransport([TimeoutError(), TimeoutError(), TimeoutError()])
         monkeypatch.setattr(provider_mod, "_http_post", spy)
         audit = tmp_path / "audit.jsonl"
         cfg = ProviderConfig(retry_budget=2, audit_path=str(audit))
@@ -307,6 +312,18 @@ class TestQuery:
         assert record["status"] == "ok"
         assert record["reply"] == "x"
 
+    def test_refused_connection_is_retried(self, prompt, monkeypatch, tmp_path):
+        """The real transport's URLError counts as a connection failure, retried to the budget."""
+        monkeypatch.setenv("LLM_API_KEY", "sk-test")
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        audit = tmp_path / "audit.jsonl"
+        cfg = ProviderConfig(endpoint=f"http://127.0.0.1:{port}/", retry_budget=1, audit_path=str(audit))
+        with pytest.raises(ProviderTimeoutError, match="connection error"):
+            query(cfg, prompt)
+        assert [json.loads(line)["status"] for line in audit.read_text().splitlines()] == ["connection-error"] * 2
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             ProviderConfig(retry_budget=-1)
@@ -342,6 +359,84 @@ fenced prose, not a candidate
 INSIGHTS: Balance queue load against transport cost.
 Short rules generalize better.
 """
+
+
+class _ScriptedEndpoint(http.server.BaseHTTPRequestHandler):
+    """Replies by path, /hangup and /slow never; records every request's path, headers and JSON body."""
+
+    replies = {
+        "/ok": (200, b'{"choices": [{"message": {"content": "hi"}}]}'),
+        "/busy": (503, b'{"error": "busy"}'),
+        "/denied": (401, b"no entry"),
+    }
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.seen.append((self.path, self.headers, body))
+        if self.path not in self.replies:
+            time.sleep(0.5 if self.path == "/slow" else 0.0)
+            return
+        status, reply = self.replies[self.path]
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def endpoint():
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedEndpoint)
+    server.daemon_threads = True
+    server.seen = []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+class TestHttpPost:
+    """The standard-library transport against a local server."""
+
+    def url(self, server, path):
+        return f"http://127.0.0.1:{server.server_address[1]}{path}"
+
+    @pytest.mark.parametrize(
+        "path, expected",
+        [
+            ("/ok", (200, {"choices": [{"message": {"content": "hi"}}]})),
+            ("/busy", (503, {"error": "busy"})),
+            ("/denied", (401, None)),
+        ],
+    )
+    def test_status_and_body(self, endpoint, path, expected):
+        headers = {"Authorization": "Bearer sk-test"}
+        assert provider_mod._http_post(self.url(endpoint, path), {"model": "m"}, headers, 5.0) == expected
+        [(seen_path, seen_headers, body)] = endpoint.seen
+        assert seen_path == path
+        assert body == {"model": "m"}
+        assert seen_headers["Authorization"] == "Bearer sk-test"
+        assert seen_headers["Content-Type"] == "application/json"
+
+    def test_slow_reply_raises_timeout_error(self, endpoint):
+        with pytest.raises(TimeoutError):
+            provider_mod._http_post(self.url(endpoint, "/slow"), {}, {}, 0.1)
+
+    def test_connect_timeout_raises_timeout_error(self, monkeypatch):
+        def connect_timeout(*args, **kwargs):
+            raise urllib.error.URLError(TimeoutError("timed out"))
+
+        monkeypatch.setattr(urllib.request, "urlopen", connect_timeout)
+        with pytest.raises(TimeoutError):
+            provider_mod._http_post("http://127.0.0.1:1/", {}, {}, 0.1)
+
+    def test_hangup_raises_url_error(self, endpoint):
+        with pytest.raises(urllib.error.URLError):
+            provider_mod._http_post(self.url(endpoint, "/hangup"), {}, {}, 5.0)
 
 
 class TestExtraction:
