@@ -20,6 +20,14 @@ Event semantics:
   id.  An operation's ready time is the moment it was routed (its
   predecessor's completion, or the job release), so waiting time includes
   transport.
+* Queue order carries no meaning.  Scores are finite and a job has one
+  operation in flight, so (score, ready time, job) has one minimum in
+  any order.  An operation that reaches a busy machine strictly before
+  the machine's current completion is therefore queued when it is
+  routed, with no arrival event: a busy machine's queue is read only at
+  its completion, and the arrival event would have run before it.  Any
+  other arrival stays an event; one at the completion instant runs after
+  the completion, so the freed machine's dispatch does not see it.
 * A machine's ready time is the completion time of the operation it is
   working on, or the moment it last fell idle; MWT = now - ready time is
   therefore negative while the machine is busy.
@@ -174,23 +182,30 @@ def compile_choosers(
     terminal is computed and each candidate is passed to it before it is
     scored, as (kind, time, job_id, op_index, machine, DecisionContext)
     with kind "route" or "sequence"; the decisions themselves are the
-    same.  The generated
-    source is compiled once and the compiled factory kept, so a pair met
-    again, on another seed or instance, is only rebound.
+    same.  The compiled factory is kept per (rule pair, recording), so a
+    pair met again, on another seed or instance, is only rebound.
 
     Raises DataError for a rule deeper than ``MAX_DEPTH``: the depth cap
     and the instance value bound are what keep every score finite (see
     ``expr.MAX_MAGNITUDE``), so the candidate loops test no score.
     """
+    return _compiled_bind(rules, record is not None)(
+        niq, wiq, mrt, instance.release, instance.due, instance.weight, n_ops, instance.npt, instance.wkr, record
+    )
+
+
+@lru_cache(maxsize=256)
+def _compiled_bind(rules: RulePair, recording: bool):
+    """The ``_bind`` factory for one rule pair, generated and compiled once."""
     check_depth(rules)
-    if record is None:
+    if recording:
+        route_reads = sequence_reads = set(_TERMINAL_NAMES)
+    else:
         route_reads = {t.name for t in terminal_histogram(rules.routing)}
         sequence_reads = {t.name for t in terminal_histogram(rules.sequencing)}
-    else:
-        route_reads = sequence_reads = set(_TERMINAL_NAMES)
     route_machine = _bindings(_ROUTE_PER_MACHINE, route_reads, " " * 12)
     sequence_operation = _bindings(_SEQUENCE_PER_OPERATION, sequence_reads, " " * 12)
-    if record is not None:
+    if recording:
         route_machine += _RECORD.format(kind="route")
         sequence_operation += _RECORD.format(kind="sequence")
     src = _CHOOSERS.format(
@@ -201,14 +216,6 @@ def compile_choosers(
         sequence_operation=sequence_operation,
         sequence_body=expression_source(rules.sequencing),
     )
-    return _compiled_bind(src)(
-        niq, wiq, mrt, instance.release, instance.due, instance.weight, n_ops, instance.npt, instance.wkr, record
-    )
-
-
-@lru_cache(maxsize=256)
-def _compiled_bind(src: str):
-    """The ``_bind`` factory that ``src`` defines, compiled once per source."""
     namespace: dict = {"_INF": _INF, "_Context": DecisionContext}
     exec(compile(src, "<choosers>", "exec"), namespace)
     return namespace["_bind"]
@@ -237,7 +244,9 @@ def run_simulation(
     column, and each release runs before any arrival or completion at the
     same instant.  Only arrivals and completions go through the event
     heap, in time order with ties in scheduling order, so it holds just
-    the events in flight.
+    the events in flight; an arrival at a busy machine before its
+    completion is queued at once instead (see the module docstring).
+    Routing and dispatch are written out once each in the event loop.
     """
     cfg = instance.config
 
@@ -255,15 +264,16 @@ def run_simulation(
 
     cur_op = [0] * n_jobs
     loc = [-1] * n_jobs  # -1 = entry point, else machine index
-    queues: list[list] = [[] for _ in range(m)]  # physically arrived, waiting ops
+    queues: list[list] = [[] for _ in range(m)]  # waiting ops: arrived, or due before mrt
     niq = [0] * m  # committed op counts (queued or in transit)
     wiq = [0.0] * m  # committed work (queued or in transit)
     busy = [False] * m
     mrt = [0.0] * m  # time the machine is/was next ready
     busy_time = [0.0] * m
-    # The queue entry of each job's operation in transit, made when it is
-    # routed: (job, op, ready time, proc time, transport incurred, NPT,
-    # WKR, NOR).  A job has at most one operation in flight.
+    # The queue entry of each job's operation with an arrival event
+    # pending, made when it is routed: (job, op, ready time, proc time,
+    # transport incurred, NPT, WKR, NOR).  A job has at most one operation
+    # in flight.
     in_transit: list[tuple | None] = [None] * n_jobs
 
     completed: list[CompletedJob] = []
@@ -283,80 +293,86 @@ def run_simulation(
     record = None if contexts is None else contexts.append
     choose_machine, choose_op = compile_choosers(rules, niq, wiq, mrt, instance, n_ops, record)
 
-    def route_op(j: int, t: float) -> None:
-        nonlocal seq_counter
-        k = cur_op[j]
-        machs = ops_mach[j][k]
-        pts = ops_pt[j][k]
-        row = trav[loc[j] + 1]
-        chosen = choose_machine(j, k, t, machs, pts, row) if len(machs) > 1 else 0
-        mch = machs[chosen]
-        pt = pts[chosen]
-        trant = row[mch]
-        niq[mch] += 1
-        if niq[mch] > queue_limit:
-            raise QueueOverflow(mch, t, max_queue)
-        wiq[mch] += pt
-        heappush(heap, (t + trant, seq_counter, _ARRIVE, j, mch))
-        seq_counter += 1
-        in_transit[j] = (j, k, t, pt, trant, ops_npt[j][k], ops_wkr[j][k], n_ops[j] - k)
-
-    def dispatch(mch: int, t: float) -> None:
-        nonlocal seq_counter
-        queue = queues[mch]
-        if not queue:
-            return
-        idx = choose_op(queue, mch, t) if len(queue) > 1 else 0
-        j, k, ready_t, pt, trant, npt, wkr, nor = queue.pop(idx)
-        niq[mch] -= 1
-        wiq[mch] -= pt
-        busy[mch] = True
-        busy_time[mch] += pt
-        mrt[mch] = t + pt
-        heappush(heap, (t + pt, seq_counter, _COMPLETE, j, mch))
-        seq_counter += 1
-        if trace is not None:
-            trace.append((t, mch, j + 1, k, "start"))
-
     while True:
-        # A release precedes any event at the same instant.
+        # Each pass handles one release or heap event, then routes job j's
+        # current operation if j >= 0 and dispatches machine mch if mch >= 0.
         if released < n_jobs and (not heap or release[order[released]] <= heap[0][0]):
+            # A release precedes any event at the same instant.
             j = order[released]
             released += 1
-            route_op(j, release[j])
-            continue
-        if not heap:
-            break
-        t, _, kind, j, mch = heappop(heap)
-        if kind == _COMPLETE:
-            k = cur_op[j]
-            if trace is not None:
-                trace.append((t, mch, j + 1, k, "complete"))
-            busy[mch] = False
-            mrt[mch] = t
-            loc[j] = mch
-            cur_op[j] = k + 1
-            if k + 1 < n_ops[j]:
-                route_op(j, t)
-            else:
-                completed.append(
-                    CompletedJob(
-                        job_id=j + 1,
-                        release=release[j],
-                        due=due[j],
-                        weight=weight[j],
-                        completion=t,
+            t = release[j]
+            mch = -1
+        elif heap:
+            t, _, kind, j, mch = heappop(heap)
+            if kind == _ARRIVE:
+                queues[mch].append(in_transit[j])
+                if busy[mch]:
+                    continue
+                j = -1
+            else:  # _COMPLETE: route the job's next operation, then dispatch mch
+                k = cur_op[j]
+                if trace is not None:
+                    trace.append((t, mch, j + 1, k, "complete"))
+                busy[mch] = False
+                mrt[mch] = t
+                loc[j] = mch
+                cur_op[j] = k + 1
+                if k + 1 == n_ops[j]:
+                    completed.append(
+                        CompletedJob(
+                            job_id=j + 1,
+                            release=release[j],
+                            due=due[j],
+                            weight=weight[j],
+                            completion=t,
+                        )
                     )
-                )
-                n_done += 1
-                if n_done == n_jobs:
-                    end_time = t
-                    break
-            dispatch(mch, t)
-        else:  # _ARRIVE
-            queues[mch].append(in_transit[j])
-            if not busy[mch]:
-                dispatch(mch, t)
+                    n_done += 1
+                    if n_done == n_jobs:
+                        end_time = t
+                        break
+                    j = -1
+        else:
+            break
+
+        if j >= 0:
+            k = cur_op[j]
+            machs = ops_mach[j][k]
+            pts = ops_pt[j][k]
+            row = trav[loc[j] + 1]
+            chosen = choose_machine(j, k, t, machs, pts, row) if len(machs) > 1 else 0
+            to = machs[chosen]
+            pt = pts[chosen]
+            trant = row[to]
+            niq[to] += 1
+            if niq[to] > queue_limit:
+                raise QueueOverflow(to, t, max_queue)
+            wiq[to] += pt
+            entry = (j, k, t, pt, trant, ops_npt[j][k], ops_wkr[j][k], n_ops[j] - k)
+            arrival = t + trant
+            if busy[to] and arrival < mrt[to]:
+                # Nothing reads this queue before mrt[to], the completion
+                # that frees the machine, and the arrival event would pop
+                # before it: queue the entry now.
+                queues[to].append(entry)
+            else:
+                heappush(heap, (arrival, seq_counter, _ARRIVE, j, to))
+                seq_counter += 1
+                in_transit[j] = entry
+
+        if mch >= 0 and queues[mch]:
+            queue = queues[mch]
+            idx = choose_op(queue, mch, t) if len(queue) > 1 else 0
+            j, k, ready_t, pt, trant, npt, wkr, nor = queue.pop(idx)
+            niq[mch] -= 1
+            wiq[mch] -= pt
+            busy[mch] = True
+            busy_time[mch] += pt
+            mrt[mch] = t + pt
+            heappush(heap, (t + pt, seq_counter, _COMPLETE, j, mch))
+            seq_counter += 1
+            if trace is not None:
+                trace.append((t, mch, j + 1, k, "start"))
 
     if n_done < n_jobs:
         raise SimulationStalled(f"only {n_done} of {n_jobs} jobs completed")

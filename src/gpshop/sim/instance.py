@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from ..expr import MAX_INSTANCE_VALUE
+from ..expr import MAX_INSTANCE_VALUE, MAX_MAGNITUDE
 from ..fileio import write_text_atomic
 from .config import SimConfig
 
@@ -113,22 +113,57 @@ def _eligible_machines(rng: np.random.Generator, m: int, sizes: np.ndarray) -> n
 
 
 def _check_magnitudes(release, due, weight, proc_times, travel) -> None:
-    """Raise ValueError unless every value lies strictly within +/-MAX_INSTANCE_VALUE.
+    """Raise ValueError unless every rule score and every objective stays finite.
 
-    NaN fails too.  This bound is what keeps every rule terminal, and so
-    every rule score, finite (see ``expr.MAX_MAGNITUDE``).
+    Every value must lie strictly within +/-MAX_INSTANCE_VALUE (NaN fails
+    too).  This bound is what keeps every rule terminal, and so every rule
+    score, finite (see ``expr.MAX_MAGNITUDE``).
+
+    The weighted objectives need one more bound, since a weight and a
+    tardiness each within it can multiply past the double range: with n
+    jobs, w = max(1, largest |weight|) and
+
+        H = (last release - first release) + (sum of processing times)
+            + (number of processing times) * (largest travel time)
+            + max |due - release|,
+
+    n * w * H must lie below MAX_MAGNITUDE.  H bounds every flowtime and
+    tardiness.  From the last release R until the last completion, some
+    operation is always being processed or in transit: a machine falls
+    idle only with an empty queue, and an operation arriving at an idle
+    machine starts at once.  Each operation is processed once, for at most
+    its longest eligible time, and travels once, for at most the largest
+    travel time; ``proc_times`` holds every eligible time, so its sum and
+    its length bound the operations' work and count.  So every completion
+    C_j is at most R plus the two middle terms of H, the flowtime
+    C_j - r_j is at most H less its last term, and the tardiness
+    max(0, C_j - d_j) <= flowtime + |d_j - r_j| is at most H.  Each sum in ``compute_objectives`` adds n terms of at most
+    w * H, so it stays below MAX_MAGNITUDE, and so does each mean.  H and
+    the product are computed in floats; their rounding is far inside the
+    gap between MAX_MAGNITUDE and the largest double.
     """
     columns = {
         "release": release, "due date": due, "weight": weight,
         "processing time": proc_times, "travel time": travel,
     }
     for name, values in columns.items():
-        values = np.asarray(values, dtype=float)
+        values = columns[name] = np.asarray(values, dtype=float)
         bad = ~(np.abs(values) < MAX_INSTANCE_VALUE)
         if bad.any():
             raise ValueError(
                 f"{name} {float(values[bad][0])!r} is outside (-{MAX_INSTANCE_VALUE:g}, {MAX_INSTANCE_VALUE:g})"
             )
+    release, due, weight, proc_times, travel = columns.values()
+    horizon = (
+        float(release.max() - release.min()) + float(proc_times.sum())
+        + proc_times.size * float(travel.max(initial=0.0)) + float(np.abs(due - release).max())
+    )
+    bound = len(release) * max(1.0, float(np.abs(weight).max())) * horizon
+    if not bound < MAX_MAGNITUDE:
+        raise ValueError(
+            f"jobs x largest weight x horizon is {bound:g}, not below {MAX_MAGNITUDE:g}, "
+            "so the weighted objectives could overflow"
+        )
 
 
 def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
@@ -153,13 +188,17 @@ def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
     Every job's gap is drawn before any operation, so an instance with
     fewer jobs is not a prefix of one with more.  Bounded integers are
     uint64, and integral float bounds give the same instance as int
-    bounds.  The block size does not change the stream.  A median is
-    ``statistics.median`` of the operation's processing times, and a due
-    date is ``release + due_date_factor * total_median``, the medians
-    summed in operation order.
+    bounds.  The block size does not change the stream.  A median is that
+    of the operation's processing times, taken with one ``np.sort`` per
+    distinct eligible-set size: the middle value, or for an even size
+    (a + b) / 2 of the two middle values, which equals
+    ``statistics.median``.  A due date is ``release + due_date_factor *
+    total_median``, the medians summed in operation order, left to right,
+    as a Python loop would.
 
     Raises ConfigError if a release, due date, weight, processing time or
-    travel time is not within +/-MAX_INSTANCE_VALUE.
+    travel time is not within +/-MAX_INSTANCE_VALUE, or if the weighted
+    objectives could overflow (see ``_check_magnitudes``).
     """
     if seed is None:
         seed = config.seed
@@ -193,17 +232,27 @@ def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
         values = tuple(values)
         return tuple([values[a:b] for a, b in zip([0, *ends], ends)])
 
-    op_ends, job_ends = np.cumsum(sizes).tolist(), np.cumsum(n_ops).tolist()
+    op_ends, job_ends = np.cumsum(sizes), np.cumsum(n_ops)
     proc_times = np.repeat(workloads, sizes) / rates[machines]
+    # The operations of eligible-set size s, as a row-sorted (count, s)
+    # matrix.  bincount finds the sizes present, where np.unique would
+    # import numpy.ma (about 1.4 MB resident); the stable kind reuses the
+    # sort _eligible_machines already loaded.
+    medians = np.empty(len(sizes))
+    for s in np.flatnonzero(np.bincount(sizes)):
+        rows = np.flatnonzero(sizes == s)
+        times = np.sort(proc_times[(op_ends[rows] - s)[:, None] + np.arange(s)], axis=1, kind="stable")
+        half = s // 2
+        medians[rows] = times[:, half] if s % 2 else (times[:, half - 1] + times[:, half]) / 2
+    # Position by position, not np.add.reduceat, whose sums are pairwise.
+    first_op = job_ends - n_ops
+    total_median = np.zeros(n)
+    for k in range(int(n_ops.max(initial=0))):
+        jobs = np.flatnonzero(n_ops > k)
+        total_median[jobs] += medians[first_op[jobs] + k]
+    due = releases + config.due_date_factor * total_median
+    op_ends, job_ends = op_ends.tolist(), job_ends.tolist()
     op_times = split(proc_times.tolist(), op_ends)
-    medians = split([statistics.median(times) for times in op_times], job_ends)
-    releases = releases.tolist()
-    due = []
-    for release, job_medians in zip(releases, medians):
-        total_median = 0.0
-        for med in job_medians:
-            total_median += med
-        due.append(release + config.due_date_factor * total_median)
     try:
         _check_magnitudes(releases, due, weights, proc_times, distances / config.transport_speed)
     except ValueError as exc:
@@ -215,13 +264,13 @@ def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
         machine_rates=tuple(rates.tolist()),
         entry_distances=tuple(distances[:m].tolist()),
         machine_distances=tuple(machine_distances),
-        release=tuple(releases),
+        release=tuple(releases.tolist()),
         weight=tuple(weights.tolist()),
-        due=tuple(due),
+        due=tuple(due.tolist()),
         workload=split(workloads.tolist(), job_ends),
         machines=split(split(machines.tolist(), op_ends), job_ends),
         proc_times=split(op_times, job_ends),
-        median=medians,
+        median=split(medians.tolist(), job_ends),
     )
 
 

@@ -143,6 +143,19 @@ class TestGenInstance:
         assert "out-of-range instance" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_weighted_objectives_exit_2(self, ws, capsys):
+        """Weights of 1e279 times tardiness near 1e277 would make WTmean and WFmean infinite."""
+        config = ws / "heavy-jobs.yaml"
+        sim = (
+            "sim:\n  warmup_jobs: 2\n  rate_range: [1.0e-275, 1.0e-275]\n"
+            f"  weight_mix: [[{10**279}, 1.0]]\n  due_date_factor: 1.0\n"
+        )
+        config.write_text(TINY_YAML.replace("sim:\n", sim).replace("  warmup_jobs: 4\n", ""))
+        out = ws / "heavy-jobs.jsonl"
+        assert main(["gen-instance", "--config", str(config), "--out", str(out)]) == 2
+        assert "weighted objectives could overflow" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def golden_files(ws):

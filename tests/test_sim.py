@@ -37,6 +37,7 @@ from gpshop.sim import (
     validate_trace,
     weighted_fitness,
 )
+from gpshop.sim.engine import compile_choosers
 
 from conftest import FIFO_RULES, SPT_RULES, build_instance, make_golden_instance
 
@@ -206,7 +207,12 @@ def _starts(instance: Instance) -> dict:
 
 
 class TestEventOrder:
-    """Same-instant events: releases first, in job order.  Worked by hand.
+    """Same-instant events, and arrivals at busy machines.  Worked by hand.
+
+    Releases run first, in job order.  An operation that reaches a busy
+    machine before its completion is queued when routed, without an
+    arrival event; one that arrives at the completion instant or later,
+    or at an idle machine, gets its event.
 
     Transport takes 10 from the entry to M0, 20 to M1 and 15 between the
     machines; every operation takes 10 per 100 units of work.  WIQ routing
@@ -245,6 +251,44 @@ class TestEventOrder:
             (0.0, 1, 100.0, ((200.0, (0, 1)),)),
         ))
         assert _starts(inst) == {(2, 0): (10.0, 0), (3, 0): (20.0, 1), (1, 0): (20.0, 0)}
+
+    def test_arrivals_before_a_completion_start_at_it(self):
+        # J1 holds M0 from 10 to 40.  J2 and J3, released at 15 and 20,
+        # reach the busy M0 at 25 and 30 and are queued when routed; at 40
+        # PT picks the shorter J3, then J2 follows at 50.
+        inst = _tie_instance((
+            (0.0, 1, 100.0, ((300.0, (0,)),)),
+            (15.0, 1, 100.0, ((200.0, (0,)),)),
+            (20.0, 1, 100.0, ((100.0, (0,)),)),
+        ))
+        assert _starts(inst) == {(1, 0): (10.0, 0), (3, 0): (40.0, 0), (2, 0): (50.0, 0)}
+
+    def test_arrival_at_the_completion_instant_misses_that_dispatch(self):
+        # J1 holds M0 from 10 to 40.  J3 arrives at exactly 40, after the
+        # completion, so the freed M0 sees only J2 (arrived at 25) and
+        # starts it, although PT prefers J3; J3 waits until 60.
+        inst = _tie_instance((
+            (0.0, 1, 100.0, ((300.0, (0,)),)),
+            (15.0, 1, 100.0, ((200.0, (0,)),)),
+            (30.0, 1, 100.0, ((100.0, (0,)),)),
+        ))
+        assert _starts(inst) == {(1, 0): (10.0, 0), (2, 0): (40.0, 0), (3, 0): (60.0, 0)}
+
+    def test_negative_releases_reach_idle_machines(self):
+        # The constructor accepts releases before 0.0, the ready time an
+        # unused machine starts with.  Each job still arrives and starts
+        # on its idle machine: J1 on M0 at -40, J2 on M1 at -10.
+        inst = _tie_instance((
+            (-50.0, 1, 100.0, ((100.0, (0,)),)),
+            (-30.0, 1, 100.0, ((100.0, (1,)),)),
+        ))
+        out = run_simulation(RulePair.from_text("WIQ", "PT"), inst, record_trace=True)
+        assert out.trace == [
+            (-40.0, 0, 1, 0, "start"),
+            (-30.0, 0, 1, 0, "complete"),
+            (-10.0, 1, 2, 0, "start"),
+            (0.0, 1, 2, 0, "complete"),
+        ]
 
 
 class TestObjectives:
@@ -404,7 +448,8 @@ class TestInstanceGeneration:
 
 # (where, field, value, message fragment): "header", a job index, or a
 # (job, op) index into the golden instance's dump; "jobs" keeps only the
-# first ``value`` job lines.
+# first ``value`` job lines; a job index with field None sets each field
+# of the dict ``value``.
 _CORRUPTIONS = [
     ("header", "machine_rates", [10.0, 10.0, 10.0], "2 machine rates"),
     ("header", "machine_rates", [10.0, 0.0], "positive"),
@@ -430,6 +475,7 @@ _CORRUPTIONS = [
     (0, "due", math.inf, "due date inf is outside"),
     ((0, 0), "proc_times", [math.inf], "processing time inf is outside"),
     ("header", "entry_distances", [50.0, 1e307], "travel time 2e+306 is outside"),
+    (2, None, {"weight": 10**279, "due": 1e279}, "the weighted objectives could overflow"),
 ]
 
 
@@ -493,6 +539,8 @@ class TestPersistence:
             header[field] = value
         elif where == "jobs":
             jobs = jobs[:value]
+        elif field is None:
+            jobs[where].update(value)
         elif isinstance(where, int):
             jobs[where][field] = value
         else:
@@ -748,6 +796,45 @@ class TestEngineProperties:
             return
         assert fast == (repr(out.objectives), repr(out.trace))
         _assert_choices_are_argmins(rules, out)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sequencing=_rule_trees(),
+        entries=st.lists(
+            st.tuples(
+                st.integers(0, len(_PROP_INSTANCE.release) - 1),  # job
+                st.sampled_from([0.0, -0.0, 3.0]),  # ready time
+                st.sampled_from([0.0, -0.0, 2.0, 5.0]),  # PT
+                st.sampled_from([0.0, 10.0]),  # TRANT
+                st.sampled_from([0.0, -0.0, 7.0]),  # NPT
+                st.sampled_from([0.0, 7.0]),  # WKR
+                st.integers(1, 3),  # NOR
+            ),
+            min_size=2,
+            max_size=5,
+            unique_by=lambda entry: entry[0],
+        ),
+        t=st.sampled_from([0.0, -0.0, 4.0]),
+    )
+    def test_dispatch_ignores_queue_order(self, sequencing, entries, t):
+        """``choose_op`` picks the same operation from every ordering of a queue.
+
+        The simulator gives queue order no meaning: an operation bound for
+        a busy machine may be queued when it is routed, others when they
+        arrive.  Values come from small sets with +/-0.0, so scores and
+        ready times often tie.
+        """
+        inst = _PROP_INSTANCE
+        m = len(inst.machine_rates)
+        n_ops = [len(ops) for ops in inst.machines]
+        _, choose_op = compile_choosers(
+            RulePair(parse("PT"), sequencing), [2] * m, [9.0] * m, [1.0] * m, inst, n_ops
+        )
+        queue = [(j, 0, *values) for j, *values in entries]
+        chosen = {
+            order[choose_op(list(order), 0, t)][:2] for order in itertools.permutations(queue)
+        }
+        assert len(chosen) == 1
 
     def test_objectives_digest_is_pinned(self):
         """24 random pairs of depth 1-8; the digest was computed before the choosers existed.
