@@ -243,9 +243,12 @@ def read_run_record(path: str) -> RunRecordFile:
     rows = []
     for i, raw in enumerate(raw_lines, start=1):
         try:
-            rows.append(json.loads(raw))
+            row = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}:{i}: invalid JSON: {exc}") from exc
+        if not isinstance(row, dict):
+            raise DataError(f"{path}:{i}: line is not a JSON object")
+        rows.append(row)
     header = rows[0]
     if header.get("kind") != RECORD_KIND:
         raise DataError(f"{path}: not a {RECORD_KIND} file")

@@ -16,4 +16,4 @@ from .instance import (  # noqa: F401
     generate_instance,
     load_instance,
 )
-from .objectives import CompletedJob, ObjectiveVector, compute_objectives, weighted_fitness  # noqa: F401
+from .objectives import ObjectiveVector, compute_objectives, weighted_fitness  # noqa: F401

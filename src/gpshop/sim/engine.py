@@ -50,7 +50,7 @@ from ..expr import TERMINAL_ORDER, DecisionContext, expression_source, terminal_
 from ..expr import compile_expression  # noqa: F401  unused; perfbench/spans.py hooks it here by name
 from ..rules import RulePair, check_depth
 from .instance import Instance
-from .objectives import CompletedJob, ObjectiveVector, compute_objectives
+from .objectives import ObjectiveVector, compute_objectives
 
 _ARRIVE = 1
 _COMPLETE = 2
@@ -82,23 +82,30 @@ class QueueOverflow(RuntimeError):
 
 @dataclass
 class SimOutcome:
-    """Everything a simulation run reports."""
+    """Everything a simulation run reports.
+
+    ``completion`` is a per-job column, indexed by job position like the
+    instance's ``release``: ``completion[j]`` is the time job id j + 1
+    finished its last operation.  Warm-up jobs are included; only the
+    objectives leave them out.
+    """
 
     objectives: ObjectiveVector
     busy_fraction: float
     makespan: float
-    completed: list[CompletedJob]
+    completion: list[float]
     trace: list[tuple] | None = None
     contexts: list[tuple] | None = None
 
 
 # Statements that bind each terminal in the generated choosers.  A routing
-# decision scores the eligible machines of job j's operation k at time t;
-# a sequencing decision scores the queued operations of machine mch.
-# SLACK is (due - t) - WKR, in that order of operations.
+# decision scores the candidates a..b-1 of job j's operation o (a global
+# operation index) at time t; a sequencing decision scores the queued
+# operations of machine mch.  SLACK is (due - t) - WKR, in that order of
+# operations.
 _JOB_TERMS = {
     "rDD": "rDD = due[j] - t",
-    "SLACK": "SLACK = due[j] - t - wkr[j][k]",
+    "SLACK": "SLACK = due[j] - t - wkr[o]",
     "W": "W = weight[j]",
     "TIS": "TIS = t - release[j]",
 }
@@ -109,29 +116,31 @@ _MACHINE_TERMS = {
 }
 _ROUTE_PER_DECISION = {
     **_JOB_TERMS,
-    "NPT": "NPT = npt[j][k]",
-    "WKR": "WKR = wkr[j][k]",
-    "NOR": "NOR = n_ops[j] - k",
+    "NPT": "NPT = npt[o]",
+    "WKR": "WKR = wkr[o]",
+    "NOR": "NOR = op_start[j + 1] - o",
     "OWT": "OWT = 0.0",
 }
-_ROUTE_PER_MACHINE = {**_MACHINE_TERMS, "PT": "PT = pts[i]", "TRANT": "TRANT = row[mch]"}
+_ROUTE_PER_MACHINE = {**_MACHINE_TERMS, "PT": "PT = proc_times[i]", "TRANT": "TRANT = row[mch]"}
+# Routing terminals that need the candidate's machine index, mch.
+_READS_MACHINE = {*_MACHINE_TERMS, "TRANT"}
 # PT, TRANT, NPT, WKR and NOR come unpacked from the queue entry.
 _SEQUENCE_PER_OPERATION = {**_JOB_TERMS, "OWT": "OWT = t - ready_t"}
 _TERMINAL_NAMES = tuple(t.name for t in TERMINAL_ORDER)
 # The recording line, emitted after a candidate's bindings when contexts
 # are captured; the context's fields are positional in TERMINAL_ORDER.
 _RECORD = (
-    "\n" + " " * 12 + '_record(("{kind}", t, j + 1, k, mch, _Context('
+    "\n" + " " * 12 + '_record(("{kind}", t, j + 1, o - op_start[j], mch, _Context('
     + ", ".join(_TERMINAL_NAMES) + ")))"
 )
 
 _CHOOSERS = """\
-def _bind(niq, wiq, mrt, release, due, weight, n_ops, npt, wkr, _record):
-    def choose_machine(j, k, t, machs, pts, row):
+def _bind(niq, wiq, mrt, release, due, weight, op_start, npt, wkr, machines, proc_times, _record):
+    def choose_machine(j, o, t, a, b, row):
 {route_decision}
         best = _INF
-        chosen = 0
-        for i, mch in enumerate(machs):
+        chosen = a
+        for i in range(a, b):
 {route_machine}
             s = {route_body}
             if s < best:
@@ -145,7 +154,7 @@ def _bind(niq, wiq, mrt, release, due, weight, n_ops, npt, wkr, _record):
         best_ready = _INF
         best_job = -1
         idx = 0
-        for i, (j, k, ready_t, PT, TRANT, NPT, WKR, NOR) in enumerate(queue):
+        for i, (j, o, ready_t, PT, TRANT, NPT, WKR, NOR) in enumerate(queue):
 {sequence_operation}
             s = {sequence_body}
             if s < best or (s == best and (ready_t, j) < (best_ready, best_job)):
@@ -164,21 +173,21 @@ def _bindings(statements: dict[str, str], reads: set[str], indent: str) -> str:
     return "\n".join(indent + stmt for name, stmt in statements.items() if name in reads)
 
 
-def compile_choosers(
-    rules: RulePair, niq: list, wiq: list, mrt: list, instance: Instance, n_ops: list[int], record=None
-):
+def compile_choosers(rules: RulePair, niq: list, wiq: list, mrt: list, instance: Instance, record=None):
     """Generate the simulator's two decision functions for one rule pair.
 
-    ``choose_machine(j, k, t, machs, pts, row)`` returns the index in
-    ``machs`` of the machine the routing rule scores lowest, ties to the
-    lower index; ``choose_op(queue, mch, t)`` returns the index of the
-    queue entry the sequencing rule scores lowest, ties to the earliest
-    ready time, then the lowest job.  Each rule's ``expression_source``
-    is inlined into its candidate loop, and only the terminals it reads
-    are computed (NIQ and NOR are ints, OWT is 0.0 when routing).  The
-    functions read the live machine state ``niq``, ``wiq`` and ``mrt`` at
-    call time, and the job data from ``instance``'s columns and
-    ``n_ops``, each job's operation count.  Given ``record``, every
+    ``choose_machine(j, o, t, a, b, row)`` scores the candidates
+    ``a``..``b - 1`` of job j's operation o (global indices into the
+    instance's operation and candidate columns) and returns the candidate
+    index the routing rule scores lowest, ties to the lower index;
+    ``row`` is the travel-time row from the job's location.
+    ``choose_op(queue, mch, t)`` returns the index of the queue entry the
+    sequencing rule scores lowest, ties to the earliest ready time, then
+    the lowest job.  Each rule's ``expression_source`` is inlined into
+    its candidate loop, and only the terminals it reads are computed (NIQ
+    and NOR are ints, OWT is 0.0 when routing).  The functions read the
+    live machine state ``niq``, ``wiq`` and ``mrt`` at call time, and the
+    job data from ``instance``'s columns.  Given ``record``, every
     terminal is computed and each candidate is passed to it before it is
     scored, as (kind, time, job_id, op_index, machine, DecisionContext)
     with kind "route" or "sequence"; the decisions themselves are the
@@ -190,7 +199,8 @@ def compile_choosers(
     ``expr.MAX_MAGNITUDE``), so the candidate loops test no score.
     """
     return _compiled_bind(rules, record is not None)(
-        niq, wiq, mrt, instance.release, instance.due, instance.weight, n_ops, instance.npt, instance.wkr, record
+        niq, wiq, mrt, instance.release, instance.due, instance.weight, instance.op_start,
+        instance.npt, instance.wkr, instance.machines, instance.proc_times, record,
     )
 
 
@@ -204,6 +214,8 @@ def _compiled_bind(rules: RulePair, recording: bool):
         route_reads = {t.name for t in terminal_histogram(rules.routing)}
         sequence_reads = {t.name for t in terminal_histogram(rules.sequencing)}
     route_machine = _bindings(_ROUTE_PER_MACHINE, route_reads, " " * 12)
+    if route_reads & _READS_MACHINE:
+        route_machine = " " * 12 + "mch = machines[i]\n" + route_machine
     sequence_operation = _bindings(_SEQUENCE_PER_OPERATION, sequence_reads, " " * 12)
     if recording:
         route_machine += _RECORD.format(kind="route")
@@ -247,13 +259,17 @@ def run_simulation(
     the events in flight; an arrival at a busy machine before its
     completion is queued at once instead (see the module docstring).
     Routing and dispatch are written out once each in the event loop.
+    Operations and candidates are addressed by their global indices in
+    the instance's flat columns.  Each job's completion time goes into
+    ``SimOutcome.completion``; ``compute_objectives`` reads it from the
+    first job after the warm-up.
     """
     cfg = instance.config
 
     speed = cfg.transport_speed
-    release, due, weight = instance.release, instance.due, instance.weight
-    ops_mach, ops_pt, ops_npt, ops_wkr = instance.machines, instance.proc_times, instance.npt, instance.wkr
-    n_ops = [len(ops) for ops in ops_mach]
+    release = instance.release
+    op_start, cand_start = instance.op_start, instance.cand_start
+    machines, proc_times, npt, wkr = instance.machines, instance.proc_times, instance.npt, instance.wkr
     n_jobs = len(release)
     m = len(instance.machine_rates)
 
@@ -262,7 +278,7 @@ def run_simulation(
     for row in instance.machine_distances:
         trav.append(tuple(d / speed for d in row))
 
-    cur_op = [0] * n_jobs
+    cur_op = list(op_start[:-1])  # each job's current operation (global index)
     loc = [-1] * n_jobs  # -1 = entry point, else machine index
     queues: list[list] = [[] for _ in range(m)]  # waiting ops: arrived, or due before mrt
     niq = [0] * m  # committed op counts (queued or in transit)
@@ -271,12 +287,12 @@ def run_simulation(
     mrt = [0.0] * m  # time the machine is/was next ready
     busy_time = [0.0] * m
     # The queue entry of each job's operation with an arrival event
-    # pending, made when it is routed: (job, op, ready time, proc time,
-    # transport incurred, NPT, WKR, NOR).  A job has at most one operation
-    # in flight.
+    # pending, made when it is routed: (job, global operation index, ready
+    # time, proc time, transport incurred, NPT, WKR, NOR).  A job has at
+    # most one operation in flight.
     in_transit: list[tuple | None] = [None] * n_jobs
 
-    completed: list[CompletedJob] = []
+    completion = [0.0] * n_jobs
     trace: list[tuple] | None = [] if record_trace else None
     contexts: list[tuple] | None = [] if capture_contexts else None
 
@@ -291,7 +307,7 @@ def run_simulation(
     queue_limit = _INF if max_queue is None else max_queue
 
     record = None if contexts is None else contexts.append
-    choose_machine, choose_op = compile_choosers(rules, niq, wiq, mrt, instance, n_ops, record)
+    choose_machine, choose_op = compile_choosers(rules, niq, wiq, mrt, instance, record)
 
     while True:
         # Each pass handles one release or heap event, then routes job j's
@@ -310,23 +326,16 @@ def run_simulation(
                     continue
                 j = -1
             else:  # _COMPLETE: route the job's next operation, then dispatch mch
-                k = cur_op[j]
+                o = cur_op[j]
                 if trace is not None:
-                    trace.append((t, mch, j + 1, k, "complete"))
+                    trace.append((t, mch, j + 1, o - op_start[j], "complete"))
                 busy[mch] = False
                 mrt[mch] = t
                 loc[j] = mch
-                cur_op[j] = k + 1
-                if k + 1 == n_ops[j]:
-                    completed.append(
-                        CompletedJob(
-                            job_id=j + 1,
-                            release=release[j],
-                            due=due[j],
-                            weight=weight[j],
-                            completion=t,
-                        )
-                    )
+                o += 1
+                cur_op[j] = o
+                if o == op_start[j + 1]:
+                    completion[j] = t
                     n_done += 1
                     if n_done == n_jobs:
                         end_time = t
@@ -336,19 +345,19 @@ def run_simulation(
             break
 
         if j >= 0:
-            k = cur_op[j]
-            machs = ops_mach[j][k]
-            pts = ops_pt[j][k]
+            o = cur_op[j]
+            a = cand_start[o]
+            b = cand_start[o + 1]
             row = trav[loc[j] + 1]
-            chosen = choose_machine(j, k, t, machs, pts, row) if len(machs) > 1 else 0
-            to = machs[chosen]
-            pt = pts[chosen]
+            chosen = choose_machine(j, o, t, a, b, row) if b - a > 1 else a
+            to = machines[chosen]
+            pt = proc_times[chosen]
             trant = row[to]
             niq[to] += 1
             if niq[to] > queue_limit:
                 raise QueueOverflow(to, t, max_queue)
             wiq[to] += pt
-            entry = (j, k, t, pt, trant, ops_npt[j][k], ops_wkr[j][k], n_ops[j] - k)
+            entry = (j, o, t, pt, trant, npt[o], wkr[o], op_start[j + 1] - o)
             arrival = t + trant
             if busy[to] and arrival < mrt[to]:
                 # Nothing reads this queue before mrt[to], the completion
@@ -363,7 +372,7 @@ def run_simulation(
         if mch >= 0 and queues[mch]:
             queue = queues[mch]
             idx = choose_op(queue, mch, t) if len(queue) > 1 else 0
-            j, k, ready_t, pt, trant, npt, wkr, nor = queue.pop(idx)
+            j, o, ready_t, pt, _, _, _, _ = queue.pop(idx)
             niq[mch] -= 1
             wiq[mch] -= pt
             busy[mch] = True
@@ -372,20 +381,18 @@ def run_simulation(
             heappush(heap, (t + pt, seq_counter, _COMPLETE, j, mch))
             seq_counter += 1
             if trace is not None:
-                trace.append((t, mch, j + 1, k, "start"))
+                trace.append((t, mch, j + 1, o - op_start[j], "start"))
 
     if n_done < n_jobs:
         raise SimulationStalled(f"only {n_done} of {n_jobs} jobs completed")
 
-    completed.sort(key=lambda c: c.job_id)
-    counted = [c for c in completed if c.job_id > cfg.warmup_jobs]
-    objectives = compute_objectives(counted)
+    objectives = compute_objectives(release, instance.due, instance.weight, completion, cfg.warmup_jobs)
     busy_fraction = sum(busy_time) / (m * end_time) if end_time > 0 else 0.0
     return SimOutcome(
         objectives=objectives,
         busy_fraction=busy_fraction,
         makespan=end_time,
-        completed=completed,
+        completion=completion,
         trace=trace,
         contexts=contexts,
     )
@@ -414,12 +421,13 @@ def validate_trace(trace: list[tuple], instance: Instance) -> list[str]:
             bucket[key] = (time, mch)
 
     machine_intervals: dict[int, list[tuple[float, float, int, int]]] = {}
-    for job_id, (release, machine_sets, op_times) in enumerate(
-        zip(instance.release, instance.machines, instance.proc_times), 1
-    ):
+    op_start, cand_start = instance.op_start, instance.cand_start
+    for job_id, release in enumerate(instance.release, 1):
         prev_complete = None
         prev_machine = None
-        for op_idx, (machines, times) in enumerate(zip(machine_sets, op_times)):
+        for op_idx, o in enumerate(range(op_start[job_id - 1], op_start[job_id])):
+            machines = instance.machines[cand_start[o]:cand_start[o + 1]]
+            times = instance.proc_times[cand_start[o]:cand_start[o + 1]]
             key = (job_id, op_idx)
             if key not in starts or key not in completes:
                 problems.append(f"job {job_id} op {op_idx}: missing start or complete")

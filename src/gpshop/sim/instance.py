@@ -23,22 +23,30 @@ from .config import SimConfig
 class Instance:
     """One frozen simulation input: machines, distances and the job stream.
 
-    The job stream is held as columns.  ``release``, ``weight`` and
-    ``due`` are indexed by job position ``j``; the job's id is ``j + 1``,
-    ids follow release order, and jobs with id <= warmup_jobs are
-    simulated but excluded from the objectives.  ``workload``,
-    ``machines``, ``proc_times`` and ``median`` are indexed ``[j][k]`` by
-    job and operation: an operation's eligible machines in ascending
-    order, ``proc_times[j][k][i]`` = workload / rate of
-    ``machines[j][k][i]``, and the median of those times.  A due date is
-    ``release + due_date_factor`` times the job's medians summed in
-    operation order.
+    The job stream is held as flat columns of plain Python values, in
+    three tables linked by offsets (n jobs, N operations, C candidates):
 
-    ``npt`` and ``wkr``, also ``[j][k]``, are derived on construction:
-    the next operation's median (NPT, 0 for the last operation) and the
-    medians from that operation on, itself included, summed from the
-    last operation back (WKR).  They are left out of equality, ``repr``
-    and ``dump_instance``.
+    * per job ``j``: ``release``, ``weight`` and ``due``.  The job's id is
+      ``j + 1``, ids follow release order, and jobs with id <= warmup_jobs
+      are simulated but excluded from the objectives.  ``op_start`` has
+      n + 1 entries: job j's operations, in order, are the global
+      operation indices ``op_start[j]`` to ``op_start[j + 1] - 1``.
+    * per operation ``o``: ``workload`` and ``median``, the median of its
+      processing times.  ``cand_start`` has N + 1 entries: operation o's
+      candidates are ``cand_start[o]`` to ``cand_start[o + 1] - 1``.
+    * per candidate ``i``, one eligible (operation, machine) pair:
+      ``machines[i]``, ascending within each operation, and
+      ``proc_times[i]`` = workload / rate of that machine.
+
+    A due date is ``release + due_date_factor`` times the job's medians
+    summed in operation order, left to right.
+
+    ``npt`` and ``wkr``, per operation, are derived on construction by
+    ``_derived_columns``: the next operation's median (NPT, 0 for a job's
+    last operation) and the medians from that operation on, itself
+    included, summed from the job's last operation back (WKR).  They are
+    left out of equality, ``repr`` and ``dump_instance``; every other
+    column is given.
     """
 
     config: SimConfig
@@ -49,27 +57,38 @@ class Instance:
     release: tuple[float, ...]
     weight: tuple[int, ...]
     due: tuple[float, ...]
-    workload: tuple[tuple[float, ...], ...]
-    machines: tuple[tuple[tuple[int, ...], ...], ...]
-    proc_times: tuple[tuple[tuple[float, ...], ...], ...]
-    median: tuple[tuple[float, ...], ...]
-    npt: list[list[float]] = field(init=False, repr=False, compare=False)
-    wkr: list[list[float]] = field(init=False, repr=False, compare=False)
+    op_start: tuple[int, ...]
+    workload: tuple[float, ...]
+    median: tuple[float, ...]
+    cand_start: tuple[int, ...]
+    machines: tuple[int, ...]
+    proc_times: tuple[float, ...]
+    npt: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    wkr: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        npt: list[list[float]] = []
-        wkr: list[list[float]] = []
-        for medians in self.median:
-            npt.append([*medians[1:], 0.0])
-            remaining = []
-            acc = 0.0
-            for med in reversed(medians):
-                acc += med
-                remaining.append(acc)
-            remaining.reverse()
-            wkr.append(remaining)
-        object.__setattr__(self, "npt", npt)
-        object.__setattr__(self, "wkr", wkr)
+        npt, wkr = _derived_columns(self.op_start, self.median)
+        object.__setattr__(self, "npt", tuple(npt.tolist()))
+        object.__setattr__(self, "wkr", tuple(wkr.tolist()))
+
+
+def _derived_columns(op_start, median) -> tuple[np.ndarray, np.ndarray]:
+    """NPT and WKR per operation, from the job offsets and the medians.
+
+    Vectorised position by position over the jobs, in the order a per-job
+    loop adds: WKR starts at 0.0 plus the last median and adds each
+    earlier median in turn, ``wkr[o] = wkr[o + 1] + median[o]``.
+    """
+    op_start = np.asarray(op_start, dtype=np.int64)
+    first, n_ops = op_start[:-1], np.diff(op_start)
+    median = np.asarray(median, dtype=float)
+    npt = np.zeros(len(median))
+    wkr = 0.0 + median
+    for k in range(int(n_ops.max(initial=0)) - 2, -1, -1):
+        ops = first[n_ops > k + 1] + k
+        npt[ops] = median[ops + 1]
+        wkr[ops] = wkr[ops + 1] + median[ops]
+    return npt, wkr
 
 
 def arrival_rate_for_utilization(config: SimConfig) -> float:
@@ -147,7 +166,10 @@ def _check_magnitudes(release, due, weight, proc_times, travel) -> None:
         "processing time": proc_times, "travel time": travel,
     }
     for name, values in columns.items():
-        values = columns[name] = np.asarray(values, dtype=float)
+        try:
+            values = columns[name] = np.asarray(values, dtype=float)
+        except OverflowError:
+            raise ValueError(f"a {name} is too large for a double") from None
         bad = ~(np.abs(values) < MAX_INSTANCE_VALUE)
         if bad.any():
             raise ValueError(
@@ -227,12 +249,8 @@ def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
         machine_distances.append(tuple([row[i] for row in machine_distances] + [0.0] + right))
         start += m - 1 - i
 
-    def split(values: list | tuple, ends: list) -> tuple:
-        """``values`` cut into tuples that end at ``ends``."""
-        values = tuple(values)
-        return tuple([values[a:b] for a, b in zip([0, *ends], ends)])
-
-    op_ends, job_ends = np.cumsum(sizes), np.cumsum(n_ops)
+    cand_start = np.concatenate(([0], np.cumsum(sizes)))
+    op_start = np.concatenate(([0], np.cumsum(n_ops, dtype=np.int64)))
     proc_times = np.repeat(workloads, sizes) / rates[machines]
     # The operations of eligible-set size s, as a row-sorted (count, s)
     # matrix.  bincount finds the sizes present, where np.unique would
@@ -241,18 +259,16 @@ def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
     medians = np.empty(len(sizes))
     for s in np.flatnonzero(np.bincount(sizes)):
         rows = np.flatnonzero(sizes == s)
-        times = np.sort(proc_times[(op_ends[rows] - s)[:, None] + np.arange(s)], axis=1, kind="stable")
+        times = np.sort(proc_times[cand_start[rows][:, None] + np.arange(s)], axis=1, kind="stable")
         half = s // 2
         medians[rows] = times[:, half] if s % 2 else (times[:, half - 1] + times[:, half]) / 2
     # Position by position, not np.add.reduceat, whose sums are pairwise.
-    first_op = job_ends - n_ops
+    first = op_start[:-1]
     total_median = np.zeros(n)
     for k in range(int(n_ops.max(initial=0))):
         jobs = np.flatnonzero(n_ops > k)
-        total_median[jobs] += medians[first_op[jobs] + k]
+        total_median[jobs] += medians[first[jobs] + k]
     due = releases + config.due_date_factor * total_median
-    op_ends, job_ends = op_ends.tolist(), job_ends.tolist()
-    op_times = split(proc_times.tolist(), op_ends)
     try:
         _check_magnitudes(releases, due, weights, proc_times, distances / config.transport_speed)
     except ValueError as exc:
@@ -267,10 +283,12 @@ def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
         release=tuple(releases.tolist()),
         weight=tuple(weights.tolist()),
         due=tuple(due.tolist()),
-        workload=split(workloads.tolist(), job_ends),
-        machines=split(split(machines.tolist(), op_ends), job_ends),
-        proc_times=split(op_times, job_ends),
-        median=split(medians.tolist(), job_ends),
+        op_start=tuple(op_start.tolist()),
+        workload=tuple(workloads.tolist()),
+        median=tuple(medians.tolist()),
+        cand_start=tuple(cand_start.tolist()),
+        machines=tuple(machines.tolist()),
+        proc_times=tuple(proc_times.tolist()),
     )
 
 
@@ -315,9 +333,10 @@ def _config_from_dict(data: dict) -> SimConfig:
 def dump_instance(instance: Instance, path: str) -> None:
     """Write an instance as JSON lines: one header line, then one per job.
 
-    Output is deterministic (sorted keys, no timestamps), so identical
-    instances serialize to byte-identical files.  Written with
-    ``write_text_atomic``.
+    Each job line nests its operations, each with its workload, eligible
+    machines, processing times and median.  Output is deterministic
+    (sorted keys, no timestamps), so identical instances serialize to
+    byte-identical files.  Written with ``write_text_atomic``.
     """
     header = {
         "kind": "gpshop-instance",
@@ -329,25 +348,28 @@ def dump_instance(instance: Instance, path: str) -> None:
         "machine_distances": [list(row) for row in instance.machine_distances],
     }
     lines = [json.dumps(header, sort_keys=True) + "\n"]
+    op_start, cand_start = instance.op_start, instance.cand_start
     for j, release in enumerate(instance.release):
-        record = {
-            "id": j + 1,
-            "release": release,
-            "weight": instance.weight[j],
-            "due": instance.due[j],
-            "ops": [
-                {"workload": workload, "machines": list(machines), "proc_times": list(times), "median": median}
-                for workload, machines, times, median in zip(
-                    instance.workload[j], instance.machines[j], instance.proc_times[j], instance.median[j]
-                )
-            ],
-        }
+        ops = []
+        for o in range(op_start[j], op_start[j + 1]):
+            a, b = cand_start[o], cand_start[o + 1]
+            ops.append({
+                "workload": instance.workload[o],
+                "machines": list(instance.machines[a:b]),
+                "proc_times": list(instance.proc_times[a:b]),
+                "median": instance.median[o],
+            })
+        record = {"id": j + 1, "release": release, "weight": instance.weight[j], "due": instance.due[j], "ops": ops}
         lines.append(json.dumps(record, sort_keys=True) + "\n")
     write_text_atomic(path, "".join(lines))
 
 
 def _check_instance(instance: Instance) -> None:
-    """Raise ValueError where ``instance`` breaks what ``generate_instance`` guarantees."""
+    """Raise ValueError where ``instance`` breaks what ``generate_instance`` guarantees.
+
+    Each operation's machines were checked as they were read (see
+    ``load_instance``), so candidates line up with their machines.
+    """
     config = instance.config
     m = config.num_machines
     rates = instance.machine_rates
@@ -362,34 +384,31 @@ def _check_instance(instance: Instance) -> None:
     if len(instance.release) != config.total_jobs:
         raise ValueError(f"expected {config.total_jobs} jobs, found {len(instance.release)}")
     _check_magnitudes(
-        instance.release, instance.due, instance.weight,
-        [t for job in instance.proc_times for times in job for t in times],
+        instance.release, instance.due, instance.weight, instance.proc_times,
         [d / config.transport_speed for row in (instance.entry_distances, *instance.machine_distances) for d in row],
     )
     weights = {w for w, _ in config.weight_mix}
+    op_start, cand_start = instance.op_start, instance.cand_start
     previous = -math.inf
-    columns = zip(
-        instance.release, instance.weight, instance.due,
-        instance.workload, instance.machines, instance.proc_times, instance.median,
-    )
-    for job_id, (release, weight, due, workloads, machine_sets, op_times, medians) in enumerate(columns, 1):
+    for j, (release, weight, due) in enumerate(zip(instance.release, instance.weight, instance.due)):
+        job_id = j + 1
         if not release >= previous:
             raise ValueError(f"job {job_id}: release {release} is before the previous job's")
         previous = release
         if weight not in weights:
             raise ValueError(f"job {job_id}: weight {weight} is not in the weight mix")
-        if not workloads:
+        if op_start[j] == op_start[j + 1]:
             raise ValueError(f"job {job_id} has no operations")
         total_median = 0.0
-        for k, (workload, machines, times, median) in enumerate(zip(workloads, machine_sets, op_times, medians)):
-            where = f"job {job_id} op {k}"
-            if not (machines and list(machines) == sorted(set(machines)) and 0 <= machines[0] and machines[-1] < m):
-                raise ValueError(f"{where}: machines {list(machines)} must be sorted, unique and in range({m})")
-            if times != tuple(workload / rates[i] for i in machines):
+        for o in range(op_start[j], op_start[j + 1]):
+            where = f"job {job_id} op {o - op_start[j]}"
+            machines = instance.machines[cand_start[o]:cand_start[o + 1]]
+            times = instance.proc_times[cand_start[o]:cand_start[o + 1]]
+            if times != tuple(instance.workload[o] / rates[i] for i in machines):
                 raise ValueError(f"{where}: processing times are not workload / machine rate")
-            if median != statistics.median(times):
-                raise ValueError(f"{where}: median {median} is not the processing times' median")
-            total_median += median
+            if instance.median[o] != statistics.median(times):
+                raise ValueError(f"{where}: median {instance.median[o]} is not the processing times' median")
+            total_median += instance.median[o]
         if due != release + config.due_date_factor * total_median:
             raise ValueError(f"job {job_id}: due date is not release + due_date_factor * total median")
 
@@ -405,14 +424,31 @@ def load_instance(path: str) -> Instance:
         raise DataError(f"instance file {path!r} is empty")
     try:
         header = json.loads(lines[0])
-        if header.get("kind") != "gpshop-instance":
+        if not isinstance(header, dict) or header.get("kind") != "gpshop-instance":
             raise DataError(f"{path!r} is not an instance file")
         config = _config_from_dict(header["config"])
+        m = config.num_machines
         jobs = [json.loads(line) for line in lines[1:]]
+        op_start, cand_start = [0], [0]
+        workload, median, machines, proc_times = [], [], [], []
         for position, rec in enumerate(jobs, 1):
+            if not isinstance(rec, dict):
+                raise ValueError(f"job line {position} is not a JSON object")
             if rec["id"] != position:
                 raise ValueError(f"job ids must run 1..n in order; job {position} has id {rec['id']}")
-        ops = [rec["ops"] for rec in jobs]
+            for k, op in enumerate(rec["ops"]):
+                members, times = op["machines"], op["proc_times"]
+                where = f"job {position} op {k}"
+                if not (members and members == sorted(set(members)) and 0 <= members[0] and members[-1] < m):
+                    raise ValueError(f"{where}: machines {members} must be sorted, unique and in range({m})")
+                if len(times) != len(members):
+                    raise ValueError(f"{where}: {len(times)} processing times for {len(members)} machines")
+                workload.append(op["workload"])
+                median.append(op["median"])
+                machines += members
+                proc_times += times
+                cand_start.append(len(machines))
+            op_start.append(len(workload))
         instance = Instance(
             config=config,
             seed=header["seed"],
@@ -422,14 +458,16 @@ def load_instance(path: str) -> Instance:
             release=tuple(rec["release"] for rec in jobs),
             weight=tuple(rec["weight"] for rec in jobs),
             due=tuple(rec["due"] for rec in jobs),
-            workload=tuple(tuple(op["workload"] for op in job) for job in ops),
-            machines=tuple(tuple(tuple(op["machines"]) for op in job) for job in ops),
-            proc_times=tuple(tuple(tuple(op["proc_times"]) for op in job) for job in ops),
-            median=tuple(tuple(op["median"] for op in job) for job in ops),
+            op_start=tuple(op_start),
+            workload=tuple(workload),
+            median=tuple(median),
+            cand_start=tuple(cand_start),
+            machines=tuple(machines),
+            proc_times=tuple(proc_times),
         )
         _check_instance(instance)
         return instance
     except DataError:
         raise
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise DataError(f"malformed instance file {path!r}: {exc}") from exc

@@ -2,21 +2,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from ..errors import ConfigError
 from .config import OBJECTIVE_KEYS, Scenario
-
-
-@dataclass(frozen=True, slots=True)
-class CompletedJob:
-    """The four facts about a finished job that the objectives need."""
-
-    job_id: int
-    release: float
-    due: float
-    weight: int
-    completion: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,34 +23,35 @@ class ObjectiveVector:
         return getattr(self, key)
 
 
-def compute_objectives(jobs: Iterable[CompletedJob]) -> ObjectiveVector:
-    """Aggregate tardiness and flowtime statistics.
+def compute_objectives(release, due, weight, completion, first: int = 0) -> ObjectiveVector:
+    """Aggregate tardiness and flowtime statistics over jobs ``first`` onward.
 
-    Tardiness of a job is max(0, completion - due); flowtime is
-    completion - release.  Means are arithmetic over the given jobs in
-    the given order (callers pass jobs sorted by id, which makes float
-    summation reproducible).
+    The four arguments are per-job columns indexed by job position, as
+    ``Instance`` and ``SimOutcome.completion`` hold them; ``first`` is the
+    first counted job (the warm-up length).  Tardiness of a job is
+    max(0, completion - due); flowtime is completion - release.  Means
+    are arithmetic over the counted jobs, summed in job order, which
+    makes float summation reproducible.
     """
-    ordered = list(jobs)
-    if not ordered:
+    n = len(completion) - first
+    if n < 1:
         raise ValueError("compute_objectives needs at least one completed job")
-    n = len(ordered)
     tmax = 0.0
     t_sum = 0.0
     f_sum = 0.0
     wt_sum = 0.0
     wf_sum = 0.0
-    for job in ordered:
-        tardiness = job.completion - job.due
+    for r, d, w, c in zip(release[first:], due[first:], weight[first:], completion[first:]):
+        tardiness = c - d
         if tardiness < 0.0:
             tardiness = 0.0
-        flowtime = job.completion - job.release
+        flowtime = c - r
         if tardiness > tmax:
             tmax = tardiness
         t_sum += tardiness
         f_sum += flowtime
-        wt_sum += job.weight * tardiness
-        wf_sum += job.weight * flowtime
+        wt_sum += w * tardiness
+        wf_sum += w * flowtime
     return ObjectiveVector(
         Tmax=tmax,
         Tmean=t_sum / n,

@@ -9,27 +9,66 @@ from gpshop.sim.config import SimConfig
 from gpshop.sim.instance import Instance
 
 
+def instance_from_jobs(config: SimConfig, seed: int, rates, entry, distances, jobs) -> Instance:
+    """An instance from nested jobs: (release, weight, due, ((workload, machines, times, median), ...)).
+
+    The nested form is cut into ``Instance``'s flat job, operation and
+    candidate columns, joined by their offsets.
+    """
+    op_start, cand_start = [0], [0]
+    workload, median, machines, proc_times = [], [], [], []
+    for *_, ops in jobs:
+        for load, members, times, med in ops:
+            workload.append(load)
+            median.append(med)
+            machines += members
+            proc_times += times
+            cand_start.append(len(machines))
+        op_start.append(len(workload))
+    return Instance(
+        config=config,
+        seed=seed,
+        machine_rates=tuple(rates),
+        entry_distances=tuple(entry),
+        machine_distances=tuple(tuple(row) for row in distances),
+        release=tuple(release for release, *_ in jobs),
+        weight=tuple(weight for _, weight, *_ in jobs),
+        due=tuple(due for _, _, due, _ in jobs),
+        op_start=tuple(op_start),
+        workload=tuple(workload),
+        median=tuple(median),
+        cand_start=tuple(cand_start),
+        machines=tuple(machines),
+        proc_times=tuple(proc_times),
+    )
+
+
+def jobs_of(instance: Instance) -> list[tuple]:
+    """The nested form of ``instance_from_jobs``, read back from the flat columns."""
+    jobs = []
+    for j, (release, weight, due) in enumerate(zip(instance.release, instance.weight, instance.due)):
+        ops = []
+        for o in range(instance.op_start[j], instance.op_start[j + 1]):
+            a, b = instance.cand_start[o], instance.cand_start[o + 1]
+            ops.append((instance.workload[o], instance.machines[a:b], instance.proc_times[a:b], instance.median[o]))
+        jobs.append((release, weight, due, tuple(ops)))
+    return jobs
+
+
 def build_instance(config: SimConfig, rates: tuple[float, ...], jobs: tuple) -> Instance:
     """A 2-machine instance from (release, weight, due, ((workload, machines), ...)) per job.
 
     Processing times are workload / rate and medians ``np.median``; the
     entry distances are (50, 100) and the machines lie 75 apart.
     """
-    times = [[tuple(workload / rates[m] for m in machines) for workload, machines in ops] for *_, ops in jobs]
-    return Instance(
-        config=config,
-        seed=0,
-        machine_rates=rates,
-        entry_distances=(50.0, 100.0),
-        machine_distances=((0.0, 75.0), (75.0, 0.0)),
-        release=tuple(release for release, *_ in jobs),
-        weight=tuple(weight for _, weight, *_ in jobs),
-        due=tuple(due for _, _, due, _ in jobs),
-        workload=tuple(tuple(workload for workload, _ in ops) for *_, ops in jobs),
-        machines=tuple(tuple(machines for _, machines in ops) for *_, ops in jobs),
-        proc_times=tuple(tuple(job_times) for job_times in times),
-        median=tuple(tuple(float(np.median(pts)) for pts in job_times) for job_times in times),
-    )
+    nested = []
+    for release, weight, due, ops in jobs:
+        chain = []
+        for workload, machines in ops:
+            times = tuple(workload / rates[m] for m in machines)
+            chain.append((workload, machines, times, float(np.median(times))))
+        nested.append((release, weight, due, chain))
+    return instance_from_jobs(config, 0, rates, (50.0, 100.0), ((0.0, 75.0), (75.0, 0.0)), nested)
 
 
 def make_golden_instance() -> Instance:

@@ -129,7 +129,7 @@ def test_criterion_01_simulator_oracle():
     instance = make_golden_instance()
 
     fifo = run_simulation(FIFO_RULES, instance)
-    fifo_completions = {j.job_id: j.completion for j in fifo.completed}
+    fifo_completions = {j + 1: t for j, t in enumerate(fifo.completion)}
     fifo_ok = (
         fifo_completions == {1: 40.0, 2: 85.0, 3: 85.0}
         and fifo.objectives.Tmax == 42.5
@@ -141,7 +141,7 @@ def test_criterion_01_simulator_oracle():
     )
 
     spt = run_simulation(SPT_RULES, instance)
-    spt_completions = {j.job_id: j.completion for j in spt.completed}
+    spt_completions = {j + 1: t for j, t in enumerate(spt.completion)}
     spt_ok = (
         spt_completions == {1: 40.0, 2: 95.0, 3: 85.0}
         and spt.objectives.Tmax == 50.0

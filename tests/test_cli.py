@@ -6,6 +6,7 @@ mock path never touches the network.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -156,6 +157,15 @@ class TestGenInstance:
         assert "weighted objectives could overflow" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_weight_beyond_doubles_exit_2(self, ws, capsys):
+        """An integer weight of 10**400 passes the config checks but has no double."""
+        config = ws / "huge-weight.yaml"
+        config.write_text(TINY_YAML.replace("sim:\n", f"sim:\n  weight_mix: [[{10**400}, 1.0]]\n"))
+        out = ws / "huge-weight.jsonl"
+        assert main(["gen-instance", "--config", str(config), "--out", str(out)]) == 2
+        assert "a weight is too large for a double" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def golden_files(ws):
@@ -236,6 +246,26 @@ class TestSimulate:
         assert main(["simulate", "--rules", str(rules_path), "--instance", str(bad)]) == 4
         err = capsys.readouterr().err
         assert "data error" in err and "inf-release.jsonl" in err and "release inf is outside" in err
+
+    def test_weight_beyond_doubles_exit_4(self, ws, golden_files, capsys):
+        inst_path, rules_path = golden_files
+        header, first, *rest = inst_path.read_text().splitlines(keepends=True)
+        job = json.loads(first)
+        job["weight"] = 10**400
+        bad = ws / "huge-weight.jsonl"
+        bad.write_text(header + json.dumps(job) + "\n" + "".join(rest))
+        assert main(["simulate", "--rules", str(rules_path), "--instance", str(bad)]) == 4
+        err = capsys.readouterr().err
+        assert "data error" in err and "huge-weight.jsonl" in err and "a weight is too large for a double" in err
+
+    @pytest.mark.parametrize("header", ["[1, 2]", '"x"'])
+    def test_header_not_an_object_exit_4(self, ws, golden_files, capsys, header):
+        inst_path, rules_path = golden_files
+        _, *jobs = inst_path.read_text().splitlines(keepends=True)
+        bad = ws / "list-header.jsonl"
+        bad.write_text(header + "\n" + "".join(jobs))
+        assert main(["simulate", "--rules", str(rules_path), "--instance", str(bad)]) == 4
+        assert "is not an instance file" in capsys.readouterr().err
 
     def test_too_deep_rule_exit_4(self, ws, golden_files, capsys):
         inst_path, _ = golden_files
@@ -380,6 +410,46 @@ class TestEvolve:
         assert main(argv) == 2
         assert "--run-offset must be >= 0" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scenario, digests",
+        [
+            ("fmean-085", {
+                "run-0.best.txt": "561b59b294f644842dc6518061340e18143192c69816c046d97e5a5100560049",
+                "run-0.jsonl": "bf443cde7d8c460ce4668f411395d29ded9b09aa1e6011e9d7c0a1d75b6c7588",
+                "run-0.log.csv": "4054d23ab5cda411d0f9191132dc8dcfa9cf55d7be9b6fdba7f989445a076937",
+                "run-1.best.txt": "8d5d78db1b96089c88421a5e4ed6fee23ff7a1d8b6a0b5bbebcb2245269ddda7",
+                "run-1.jsonl": "ef2a605e5c88deac59bb56b128a3977cf8cef494a9fd59508e15b390e59d66a3",
+                "run-1.log.csv": "79859093916bdd57536495136bfa8769c382668f06c65fefd839f5a329014169",
+            }),
+            ("fmean-wtmean-085", {
+                "run-0.best.txt": "561b59b294f644842dc6518061340e18143192c69816c046d97e5a5100560049",
+                "run-0.jsonl": "d2d42a88fe13716bd70d0f67e224dac2aa884e256ac6d73865fe6e737835cd8d",
+                "run-0.log.csv": "ce6caeef1eabd9aa0d38a6639d95197dbc5d6e17d1537c7dd68db1fd926ab783",
+                "run-1.best.txt": "addfafb541fd2fac4c1f0a522df7c2f580a39f387815d8ec8b40a1d31d3f94fa",
+                "run-1.jsonl": "72f791595d174ff41948ad6ac06072e68df6f64737690ff20e30e7bc0698bc77",
+                "run-1.log.csv": "f3108ed97a3f987dcb4e859bae65704f2b1fcd7fecb34b4a55070fa7f1bac68b",
+            }),
+        ],
+    )
+    def test_output_digests_are_pinned(self, tmp_path, capsys, scenario, digests):
+        """Two runs on the packaged shop at 300 jobs, population 10 x 4 generations.
+
+        Every output file is pinned by sha256, so a change to instance
+        generation, simulation, fitness, breeding or record writing that
+        alters one byte fails here.
+        """
+        config = tmp_path / "digest.yaml"
+        config.write_text("sim:\n  total_jobs: 300\n  warmup_jobs: 60\ngp:\n  population_size: 10\n  generations: 4\n")
+        out = tmp_path / "runs"
+        argv = [
+            "evolve", "--config", str(config), "--scenario", scenario,
+            "--runs", "2", "--seed", "7", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        found = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert found == digests
 
 
 class TestInitLlm:
@@ -573,6 +643,20 @@ class TestCompare:
         assert main(argv) == 4
         err = capsys.readouterr().err
         assert "data error" in err and "new-s1-1.jsonl" in err and "best_fitness" in err
+
+    @pytest.mark.parametrize("line, value", [(0, [1]), (2, 7)])
+    def test_line_not_an_object_exit_4(self, record_dir, capsys, line, value):
+        path = record_dir / "new-s1-1.jsonl"
+        rows = path.read_text().splitlines()
+        rows[line] = json.dumps(value)
+        path.write_text("\n".join(rows) + "\n")
+        argv = [
+            "compare", "--records", str(record_dir / "*.jsonl"),
+            "--baseline", "base", "--out", str(record_dir / "cmp"),
+        ]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert f"new-s1-1.jsonl:{line + 1}: line is not a JSON object" in err
 
     def test_unknown_baseline_exit_4(self, record_dir):
         argv = [

@@ -299,7 +299,7 @@ def test_worst_case_tree_reaches_saturation_and_simulates(golden_instance):
     # Every product saturates at 1e300 and every quotient is 1.0.
     assert evaluate(WORST_CASE, DecisionContext(*[MAX_INSTANCE_VALUE] * 13)) >= 32 * MAX_MAGNITUDE
     outcome = run_simulation(RulePair(WORST_CASE, WORST_CASE), golden_instance)
-    assert len(outcome.completed) == 3
+    assert len(outcome.completion) == 3
     assert all(math.isfinite(outcome.objectives.get(key)) for key in OBJECTIVE_KEYS)
 
 

@@ -18,9 +18,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gpshop.sim import Instance, SimConfig, dump_instance, generate_instance
+from gpshop.sim import Instance, SimConfig, dump_instance, generate_instance, load_instance
 from gpshop.sim import instance as instance_mod
 from gpshop.sim.instance import arrival_rate_for_utilization
+
+from conftest import instance_from_jobs, jobs_of
 
 
 def numpy_call_instance(config: SimConfig, seed: int) -> Instance:
@@ -67,20 +69,7 @@ def numpy_call_instance(config: SimConfig, seed: int) -> Instance:
             total_median += median
         due = clock + config.due_date_factor * total_median
         jobs.append((clock, int(weights[job_id - 1]), due, chain))
-    return Instance(
-        config=config,
-        seed=seed,
-        machine_rates=tuple(rates),
-        entry_distances=entry,
-        machine_distances=tuple(tuple(row) for row in dist),
-        release=tuple(release for release, _, _, _ in jobs),
-        weight=tuple(weight for _, weight, _, _ in jobs),
-        due=tuple(due for _, _, due, _ in jobs),
-        workload=tuple(tuple(op[0] for op in chain) for *_, chain in jobs),
-        machines=tuple(tuple(op[1] for op in chain) for *_, chain in jobs),
-        proc_times=tuple(tuple(op[2] for op in chain) for *_, chain in jobs),
-        median=tuple(tuple(op[3] for op in chain) for *_, chain in jobs),
-    )
+    return instance_from_jobs(config, seed, rates, entry, dist, jobs)
 
 
 def assert_invariants(inst: Instance) -> None:
@@ -88,16 +77,27 @@ def assert_invariants(inst: Instance) -> None:
     m = config.num_machines
     rates = inst.machine_rates
     weights = {w for w, p in config.weight_mix if p > 0}
-    columns = (inst.release, inst.weight, inst.due, inst.workload, inst.machines, inst.proc_times, inst.median)
-    assert [len(column) for column in columns] == [config.total_jobs] * len(columns)
+    n, n_ops, n_cands = config.total_jobs, len(inst.workload), len(inst.machines)
+    lengths = {
+        "release": n, "weight": n, "due": n, "op_start": n + 1,
+        "workload": n_ops, "median": n_ops, "npt": n_ops, "wkr": n_ops, "cand_start": n_ops + 1,
+        "machines": n_cands, "proc_times": n_cands,
+    }
+    for name, length in lengths.items():
+        column = getattr(inst, name)
+        # Plain Python values: the simulator indexes them in its event loop.
+        assert type(column) is tuple and len(column) == length, name
+        kind = int if name in ("weight", "op_start", "cand_start", "machines") else float
+        assert {type(x) for x in column} <= {kind}, name
+    assert inst.op_start[0] == 0 and inst.cand_start[0] == 0
     previous = 0.0
-    for release, weight, due, workloads, machine_sets, op_times, medians in zip(*columns):
-        assert len(machine_sets) == len(op_times) == len(medians) == len(workloads)
+    for release, weight, due, ops in jobs_of(inst):
+        assert ops
         assert release >= previous
         previous = release
         assert weight in weights
         total_median = 0.0
-        for workload, machines, times, median in zip(workloads, machine_sets, op_times, medians):
+        for workload, machines, times, median in ops:
             assert machines == tuple(sorted(set(machines)))
             assert 0 <= machines[0] and machines[-1] < m
             assert times == tuple(workload / rates[i] for i in machines)
@@ -157,6 +157,48 @@ def test_invariants(name):
         assert same, f"seed {seed}"
 
 
+def per_job_derivation(inst: Instance) -> tuple[list, list, list]:
+    """NPT, WKR and due dates computed job by job in plain Python, flattened to the column order.
+
+    The NPT and WKR loop is the body ``Instance.__post_init__`` had while
+    the columns were nested per job.
+    """
+    npt: list[list[float]] = []
+    wkr: list[list[float]] = []
+    due = []
+    for release, _, _, ops in jobs_of(inst):
+        medians = [median for *_, median in ops]
+        npt.append([*medians[1:], 0.0])
+        remaining = []
+        acc = 0.0
+        for med in reversed(medians):
+            acc += med
+            remaining.append(acc)
+        remaining.reverse()
+        wkr.append(remaining)
+        total_median = 0.0
+        for med in medians:
+            total_median += med
+        due.append(release + inst.config.due_date_factor * total_median)
+    return [x for row in npt for x in row], [x for row in wkr for x in row], due
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANT_CONFIGS))
+def test_derived_columns_match_a_per_job_loop(name, tmp_path):
+    """NPT, WKR and due dates are bit-identical to a per-job loop, on generated and loaded instances."""
+    config = INVARIANT_CONFIGS[name]
+    path = tmp_path / "instance.jsonl"
+    for seed in range(10):
+        inst = generate_instance(config, seed=seed)
+        dump_instance(inst, str(path))
+        for candidate in (inst, load_instance(str(path))):
+            npt, wkr, due = per_job_derivation(candidate)
+            # repr tells -0.0 from 0.0 and compares every bit of each double.
+            assert repr(candidate.npt) == repr(tuple(npt)), f"seed {seed}"
+            assert repr(candidate.wkr) == repr(tuple(wkr)), f"seed {seed}"
+            assert repr(candidate.due) == repr(tuple(due)), f"seed {seed}"
+
+
 def test_integral_float_bounds_match_int_bounds():
     floats = INVARIANT_CONFIGS["float-bounds"]
     ints = replace(floats, workload_range=(100, 1000), distance_range=(35, 500))
@@ -177,8 +219,7 @@ def test_key_blocks_do_not_change_the_stream(monkeypatch):
 def test_wide_shop_spans_several_key_blocks():
     config = SimConfig(num_machines=5000, total_jobs=50, warmup_jobs=5)
     inst = generate_instance(config, seed=3)
-    n_ops = sum(len(workloads) for workloads in inst.workload)
-    assert n_ops * config.num_machines > instance_mod._KEY_BLOCK
+    assert len(inst.workload) * config.num_machines > instance_mod._KEY_BLOCK
     assert_invariants(inst)
 
 
@@ -191,7 +232,7 @@ def test_eligible_sets_are_uniform():
     """
     m = 6
     inst = generate_instance(SimConfig(num_machines=m, total_jobs=2000, warmup_jobs=10), seed=41)
-    ops = [machines for machine_sets in inst.machines for machines in machine_sets]
+    ops = [machines for *_, chain in jobs_of(inst) for _, machines, _, _ in chain]
     n = len(ops)
     sizes = Counter(len(machines) for machines in ops)
     inclusion = Counter(i for machines in ops for i in machines)

@@ -22,7 +22,6 @@ from gpshop.errors import ConfigError, DataError
 from gpshop.expr import TERMINAL_ORDER, evaluate, parse, random_tree
 from gpshop.rules import RulePair
 from gpshop.sim import (
-    CompletedJob,
     Instance,
     ObjectiveVector,
     QueueOverflow,
@@ -39,11 +38,11 @@ from gpshop.sim import (
 )
 from gpshop.sim.engine import compile_choosers
 
-from conftest import FIFO_RULES, SPT_RULES, build_instance, make_golden_instance
+from conftest import FIFO_RULES, SPT_RULES, build_instance, jobs_of, make_golden_instance
 
 
 def completions_by_job(outcome) -> dict[int, float]:
-    return {c.job_id: c.completion for c in outcome.completed}
+    return {j + 1: t for j, t in enumerate(outcome.completion)}
 
 
 class TestGoldenSchedule:
@@ -293,20 +292,26 @@ class TestEventOrder:
 
 class TestObjectives:
     def test_worked_example(self):
-        jobs = [
-            CompletedJob(job_id=1, release=0.0, due=8.0, weight=2, completion=10.0),
-            CompletedJob(job_id=2, release=1.0, due=9.0, weight=1, completion=5.0),
-        ]
-        obj = compute_objectives(jobs)
+        # Columns release, due, weight, completion for jobs 1 and 2.
+        obj = compute_objectives((0.0, 1.0), (8.0, 9.0), (2, 1), [10.0, 5.0])
         assert obj.Tmax == 2.0
         assert obj.Tmean == 1.0
         assert obj.Fmean == 7.0
         assert obj.WTmean == 2.0
         assert obj.WFmean == 12.0
 
+    def test_warm_up_jobs_are_not_counted(self):
+        # The same two jobs after a warm-up job whose tardiness of 100
+        # would dominate every objective if it were counted.
+        obj = compute_objectives((0.0, 0.0, 1.0), (0.0, 8.0, 9.0), (4, 2, 1), [100.0, 10.0, 5.0], 1)
+        assert obj == compute_objectives((0.0, 1.0), (8.0, 9.0), (2, 1), [10.0, 5.0])
+        assert (obj.Tmax, obj.Tmean, obj.Fmean, obj.WTmean, obj.WFmean) == (2.0, 1.0, 7.0, 2.0, 12.0)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            compute_objectives([])
+            compute_objectives((), (), (), [])
+        with pytest.raises(ValueError):
+            compute_objectives((0.0,), (8.0,), (2,), [10.0], 1)
 
     def test_weighted_fitness_single_objective(self):
         scenario = Scenario(
@@ -391,14 +396,12 @@ class TestInstanceGeneration:
                 if i != j:
                     assert 35.0 <= d <= 500.0
         prev = -1.0
-        for j, release in enumerate(inst.release):
+        for release, weight, _, ops in jobs_of(inst):
             assert release > prev
             prev = release
-            assert inst.weight[j] in (1, 2, 4)
-            assert 2 <= len(inst.workload[j]) <= 10
-            for workload, machines, times, median in zip(
-                inst.workload[j], inst.machines[j], inst.proc_times[j], inst.median[j]
-            ):
+            assert weight in (1, 2, 4)
+            assert 2 <= len(ops) <= 10
+            for workload, machines, times, median in ops:
                 assert 100.0 <= workload <= 1000.0
                 assert machines == tuple(sorted(set(machines)))
                 assert 1 <= len(machines) <= 5
@@ -408,8 +411,8 @@ class TestInstanceGeneration:
 
     def test_due_dates_recompute(self):
         inst = generate_instance(SimConfig(num_machines=3, total_jobs=60, warmup_jobs=5), seed=11)
-        for release, due, medians in zip(inst.release, inst.due, inst.median):
-            total_median = sum(medians)
+        for release, _, due, ops in jobs_of(inst):
+            total_median = sum(median for *_, median in ops)
             assert due == pytest.approx(release + 1.5 * total_median)
 
     def test_weight_mix_within_three_sigma(self):
@@ -440,7 +443,7 @@ class TestInstanceGeneration:
         inst = generate_instance(
             SimConfig(num_machines=3, total_jobs=2000, warmup_jobs=10), seed=8
         )
-        counts = [len(workloads) for workloads in inst.workload]
+        counts = [b - a for a, b in zip(inst.op_start, inst.op_start[1:])]
         # U{2..10}: mean 6, variance (9^2 - 1) / 12.
         sigma = math.sqrt((81 - 1) / 12.0)
         assert abs(sum(counts) / len(counts) - 6.0) < 3 * sigma / math.sqrt(len(counts))
@@ -449,7 +452,8 @@ class TestInstanceGeneration:
 # (where, field, value, message fragment): "header", a job index, or a
 # (job, op) index into the golden instance's dump; "jobs" keeps only the
 # first ``value`` job lines; a job index with field None sets each field
-# of the dict ``value``.
+# of the dict ``value``; "header" with field None replaces the header by
+# ``value``, and "line" replaces job line ``field``.
 _CORRUPTIONS = [
     ("header", "machine_rates", [10.0, 10.0, 10.0], "2 machine rates"),
     ("header", "machine_rates", [10.0, 0.0], "positive"),
@@ -476,6 +480,12 @@ _CORRUPTIONS = [
     ((0, 0), "proc_times", [math.inf], "processing time inf is outside"),
     ("header", "entry_distances", [50.0, 1e307], "travel time 2e+306 is outside"),
     (2, None, {"weight": 10**279, "due": 1e279}, "the weighted objectives could overflow"),
+    (0, "weight", 10**400, "a weight is too large for a double"),
+    ((0, 0), "proc_times", [30.0, 30.0], "2 processing times for 1 machines"),
+    ("header", None, [1, 2], "is not an instance file"),
+    ("header", None, "x", "is not an instance file"),
+    ("line", 1, 7, "job line 2 is not a JSON object"),
+    ("line", 0, [1], "job line 1 is not a JSON object"),
 ]
 
 
@@ -535,8 +545,12 @@ class TestPersistence:
         path = tmp_path / "golden.jsonl"
         dump_instance(golden_instance, str(path))
         header, *jobs = (json.loads(line) for line in path.read_text().splitlines())
-        if where == "header":
+        if where == "header" and field is None:
+            header = value
+        elif where == "header":
             header[field] = value
+        elif where == "line":
+            jobs[field] = value
         elif where == "jobs":
             jobs = jobs[:value]
         elif field is None:
@@ -564,8 +578,8 @@ class TestEngineBehaviour:
         out = run_simulation(FIFO_RULES, inst, record_trace=True)
         assert validate_trace(out.trace, inst) == []
         assert 0.0 < out.busy_fraction <= 1.0
-        assert out.makespan >= max(c.completion for c in out.completed) - 1e-9
-        assert len(out.completed) == 80
+        assert out.makespan >= max(out.completion) - 1e-9
+        assert len(out.completion) == 80
 
     def test_capture_matches_fast_on_generated(self):
         inst = generate_instance(SimConfig(num_machines=3, total_jobs=50, warmup_jobs=5), seed=17)
@@ -581,8 +595,8 @@ class TestEngineBehaviour:
         trimmed = run_simulation(
             FIFO_RULES, replace(inst, config=inst.config.with_overrides(warmup_jobs=10))
         )
-        survivors = [c for c in full.completed if c.job_id > 10]
-        assert trimmed.objectives == compute_objectives(survivors)
+        assert trimmed.completion == full.completion
+        assert trimmed.objectives == compute_objectives(inst.release, inst.due, inst.weight, full.completion, 10)
         assert trimmed.objectives != full.objectives
 
     def test_queue_overflow_guard(self):
@@ -772,7 +786,7 @@ class TestEngineProperties:
             sequencing=random_tree(rng, mode="grow", depth_range=(2, 4)),
         )
         out = run_simulation(rules, _PROP_INSTANCE, record_trace=True, max_queue=500)
-        assert len(out.completed) == 25
+        assert len(out.completion) == 25
         assert 0.0 < out.busy_fraction <= 1.0
         assert validate_trace(out.trace, _PROP_INSTANCE) == []
 
@@ -826,11 +840,8 @@ class TestEngineProperties:
         """
         inst = _PROP_INSTANCE
         m = len(inst.machine_rates)
-        n_ops = [len(ops) for ops in inst.machines]
-        _, choose_op = compile_choosers(
-            RulePair(parse("PT"), sequencing), [2] * m, [9.0] * m, [1.0] * m, inst, n_ops
-        )
-        queue = [(j, 0, *values) for j, *values in entries]
+        _, choose_op = compile_choosers(RulePair(parse("PT"), sequencing), [2] * m, [9.0] * m, [1.0] * m, inst)
+        queue = [(j, inst.op_start[j], *values) for j, *values in entries]
         chosen = {
             order[choose_op(list(order), 0, t)][:2] for order in itertools.permutations(queue)
         }
