@@ -8,7 +8,6 @@ half-and-half) or warm-started from externally supplied rule pairs.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,9 +50,6 @@ __all__ = [
 # Fitness assigned to rules whose simulation was aborted by the queue
 # guard; large enough that selection always prefers any completed run.
 DEGENERATE_FITNESS = 1e12
-
-# Generated instances a FitnessEvaluator keeps, least recently used out.
-_INSTANCE_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -195,13 +191,19 @@ def init_seeded(
 class FitnessEvaluator:
     """Maps rule pairs to scenario fitness via simulation.
 
-    Caches generated instances (bounded) and memoises one guarded
-    simulation per (pair, seed): its objectives, or None if the queue
-    guard aborted it (fitness DEGENERATE_FITNESS).  Fitness, held-out
-    scores and the reference objectives that normalise multi-objective
-    fitness all read it; only an aborted reference run is repeated
-    without the guard, memoised apart, to normalise the other pairs.
-    ``evaluations`` counts every ``fitness`` call, memo hits included.
+    Holds the instance of the last seed it was asked for, and memoises
+    one guarded simulation per (pair, seed): its objectives, or None if
+    the queue guard aborted it (fitness DEGENERATE_FITNESS).  Fitness,
+    held-out scores and the reference objectives that normalise
+    multi-objective fitness all read it; only an aborted reference run is
+    repeated without the guard, memoised apart, to normalise the other
+    pairs.  ``evaluations`` counts every ``fitness`` call, memo hits
+    included.
+
+    One instance suffices: a generation scores its population on one
+    seed, and ``test_performance`` finishes each seed before the next.
+    A scenario with 2 to 8 training seeds and more generations than
+    seeds does regenerate one instance per generation.
     """
 
     def __init__(self, config: SimConfig, scenario: Scenario, max_queue: int | None = None):
@@ -212,19 +214,13 @@ class FitnessEvaluator:
             max_queue = max(100, self.config.total_jobs // 10)
         self.max_queue = max_queue
         self.evaluations = 0
-        self._instances: OrderedDict[int, Instance] = OrderedDict()
+        self._instance: Instance | None = None
         self._outcomes: dict[tuple[RulePair, int, bool], ObjectiveVector | None] = {}
 
     def instance(self, seed: int) -> Instance:
-        cached = self._instances.get(seed)
-        if cached is not None:
-            self._instances.move_to_end(seed)
-            return cached
-        inst = generate_instance(self.config, seed=seed)
-        self._instances[seed] = inst
-        if len(self._instances) > _INSTANCE_CACHE_SIZE:
-            self._instances.popitem(last=False)
-        return inst
+        if self._instance is None or self._instance.seed != seed:
+            self._instance = generate_instance(self.config, seed=seed)
+        return self._instance
 
     def _objectives(self, pair: RulePair, seed: int, guarded: bool = True) -> ObjectiveVector | None:
         """Memoised objectives of ``pair`` on ``seed``; None if the guard aborted the run."""

@@ -176,17 +176,6 @@ class RunRecordFile:
     path: str = ""
 
 
-def _scenario_dict(scenario: Scenario) -> dict[str, Any]:
-    return {
-        "objectives": list(scenario.objectives),
-        "lambdas": list(scenario.lambdas),
-        "utilization": scenario.utilization,
-        "training_seeds": list(scenario.training_seeds),
-        "test_seeds": list(scenario.test_seeds),
-        "name": scenario.name,
-    }
-
-
 def build_run_meta(
     *,
     method: str,
@@ -204,7 +193,7 @@ def build_run_meta(
     return {
         "method": method,
         "scenario": scenario.label,
-        "scenario_config": _scenario_dict(scenario),
+        "scenario_config": asdict(scenario),
         "sim": asdict(sim),
         "gp": asdict(gp),
         "run_index": run_index,
@@ -255,10 +244,17 @@ def read_run_record(path: str) -> RunRecordFile:
     if header.get("version") != RECORD_VERSION:
         raise DataError(f"{path}: unsupported record version {header.get('version')!r}")
     record = RunRecordFile(meta=header.get("meta", {}), path=path)
-    for row in rows[1:]:
+    if not isinstance(record.meta, dict):
+        raise DataError(f"{path}:1: meta is not a JSON object")
+    for i, row in enumerate(rows[1:], start=2):
         if "gen0_fitness" in row:
-            record.gen0_fitness = [float(x) for x in row["gen0_fitness"]]
+            values = row["gen0_fitness"]
+            if not (isinstance(values, list) and all(type(x) in (int, float) for x in values)):
+                raise DataError(f"{path}:{i}: gen0_fitness is not a list of numbers")
+            record.gen0_fitness = [float(x) for x in values]
         elif "result" in row:
+            if not isinstance(row["result"], dict):
+                raise DataError(f"{path}:{i}: result is not a JSON object")
             record.result = row["result"]
         elif "generation" in row:
             record.generations.append(row)

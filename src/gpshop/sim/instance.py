@@ -6,10 +6,10 @@ rates, transport distances and the full job stream.  Identical
 """
 from __future__ import annotations
 
+import bisect
 import json
 import math
-import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -38,8 +38,7 @@ class Instance:
       ``machines[i]``, ascending within each operation, and
       ``proc_times[i]`` = workload / rate of that machine.
 
-    A due date is ``release + due_date_factor`` times the job's medians
-    summed in operation order, left to right.
+    ``proc_times``, ``median`` and ``due`` follow ``_timing_columns``.
 
     ``npt`` and ``wkr``, per operation, are derived on construction by
     ``_derived_columns``: the next operation's median (NPT, 0 for a job's
@@ -188,6 +187,36 @@ def _check_magnitudes(release, due, weight, proc_times, travel) -> None:
         )
 
 
+def _timing_columns(rates, release, op_start, workload, cand_start, machines, due_date_factor):
+    """Processing times (workload / machine rate), medians and due dates, as float arrays.
+
+    A median is the middle time, or (a + b) / 2 of the middle two, as
+    ``statistics.median`` gives.  A due date is ``release +
+    due_date_factor *`` the job's medians summed in operation order.
+    """
+    rates, release, workload = (np.asarray(c, dtype=float) for c in (rates, release, workload))
+    op_start, cand_start, machines = (np.asarray(c) for c in (op_start, cand_start, machines))
+    sizes, n_ops = np.diff(cand_start), np.diff(op_start)
+    proc_times = np.repeat(workload, sizes) / rates[machines]
+    # The operations of eligible-set size s, as a row-sorted (count, s)
+    # matrix.  bincount finds the sizes present, where np.unique would
+    # import numpy.ma (about 1.4 MB resident); the stable kind reuses the
+    # sort _eligible_machines already loaded.
+    medians = np.empty(len(sizes))
+    for s in np.flatnonzero(np.bincount(sizes)):
+        rows = np.flatnonzero(sizes == s)
+        times = np.sort(proc_times[cand_start[rows][:, None] + np.arange(s)], axis=1, kind="stable")
+        half = s // 2
+        medians[rows] = times[:, half] if s % 2 else (times[:, half - 1] + times[:, half]) / 2
+    # Position by position, not np.add.reduceat, whose sums are pairwise.
+    first = op_start[:-1]
+    total_median = np.zeros(len(release))
+    for k in range(int(n_ops.max(initial=0))):
+        jobs = np.flatnonzero(n_ops > k)
+        total_median[jobs] += medians[first[jobs] + k]
+    return proc_times, medians, release + due_date_factor * total_median
+
+
 def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
     """Sample a full instance from ``np.random.default_rng(seed)``.
 
@@ -210,13 +239,9 @@ def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
     Every job's gap is drawn before any operation, so an instance with
     fewer jobs is not a prefix of one with more.  Bounded integers are
     uint64, and integral float bounds give the same instance as int
-    bounds.  The block size does not change the stream.  A median is that
-    of the operation's processing times, taken with one ``np.sort`` per
-    distinct eligible-set size: the middle value, or for an even size
-    (a + b) / 2 of the two middle values, which equals
-    ``statistics.median``.  A due date is ``release + due_date_factor *
-    total_median``, the medians summed in operation order, left to right,
-    as a Python loop would.
+    bounds.  The block size does not change the stream.  Processing
+    times, medians and due dates follow from the draws by
+    ``_timing_columns``, which ``load_instance`` checks files against.
 
     Raises ConfigError if a release, due date, weight, processing time or
     travel time is not within +/-MAX_INSTANCE_VALUE, or if the weighted
@@ -251,24 +276,9 @@ def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
 
     cand_start = np.concatenate(([0], np.cumsum(sizes)))
     op_start = np.concatenate(([0], np.cumsum(n_ops, dtype=np.int64)))
-    proc_times = np.repeat(workloads, sizes) / rates[machines]
-    # The operations of eligible-set size s, as a row-sorted (count, s)
-    # matrix.  bincount finds the sizes present, where np.unique would
-    # import numpy.ma (about 1.4 MB resident); the stable kind reuses the
-    # sort _eligible_machines already loaded.
-    medians = np.empty(len(sizes))
-    for s in np.flatnonzero(np.bincount(sizes)):
-        rows = np.flatnonzero(sizes == s)
-        times = np.sort(proc_times[cand_start[rows][:, None] + np.arange(s)], axis=1, kind="stable")
-        half = s // 2
-        medians[rows] = times[:, half] if s % 2 else (times[:, half - 1] + times[:, half]) / 2
-    # Position by position, not np.add.reduceat, whose sums are pairwise.
-    first = op_start[:-1]
-    total_median = np.zeros(n)
-    for k in range(int(n_ops.max(initial=0))):
-        jobs = np.flatnonzero(n_ops > k)
-        total_median[jobs] += medians[first[jobs] + k]
-    due = releases + config.due_date_factor * total_median
+    proc_times, medians, due = _timing_columns(
+        rates, releases, op_start, workloads, cand_start, machines, config.due_date_factor
+    )
     try:
         _check_magnitudes(releases, due, weights, proc_times, distances / config.transport_speed)
     except ValueError as exc:
@@ -294,40 +304,18 @@ def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
 
 # ------------------------------------------------------------ persistence
 
-_CONFIG_FIELDS = (
-    "num_machines",
-    "total_jobs",
-    "warmup_jobs",
-    "utilization",
-    "rate_range",
-    "workload_range",
-    "ops_per_job_range",
-    "distance_range",
-    "transport_speed",
-    "weight_mix",
-    "due_date_factor",
-    "seed",
-)
-
-
-def _config_to_dict(config: SimConfig) -> dict:
-    out = {}
-    for name in _CONFIG_FIELDS:
-        value = getattr(config, name)
-        if isinstance(value, tuple):
-            value = list(list(v) if isinstance(v, tuple) else v for v in value)
-        out[name] = value
-    return out
-
-
 def _config_from_dict(data: dict) -> SimConfig:
+    """The SimConfig written by ``dump_instance``: every field required, lists as tuples, ValueError if invalid."""
     kwargs = {}
-    for name in _CONFIG_FIELDS:
+    for name in (f.name for f in fields(SimConfig)):
         value = data[name]
         if isinstance(value, list):
             value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
         kwargs[name] = value
-    return SimConfig(**kwargs)
+    try:
+        return SimConfig(**kwargs)
+    except ConfigError as exc:
+        raise ValueError(f"config: {exc}") from exc
 
 
 def dump_instance(instance: Instance, path: str) -> None:
@@ -341,7 +329,7 @@ def dump_instance(instance: Instance, path: str) -> None:
     header = {
         "kind": "gpshop-instance",
         "version": 1,
-        "config": _config_to_dict(instance.config),
+        "config": asdict(instance.config),
         "seed": instance.seed,
         "machine_rates": list(instance.machine_rates),
         "entry_distances": list(instance.entry_distances),
@@ -364,11 +352,18 @@ def dump_instance(instance: Instance, path: str) -> None:
     write_text_atomic(path, "".join(lines))
 
 
+def _first_mismatch(given: tuple, derived: tuple) -> int | None:
+    """Index of the first entry in which two equally long columns differ; None if they are equal."""
+    return None if given == derived else next(i for i, (a, b) in enumerate(zip(given, derived)) if a != b)
+
+
 def _check_instance(instance: Instance) -> None:
     """Raise ValueError where ``instance`` breaks what ``generate_instance`` guarantees.
 
     Each operation's machines were checked as they were read (see
-    ``load_instance``), so candidates line up with their machines.
+    ``load_instance``), so candidates line up with their machines.  The
+    first value ``_timing_columns`` does not reproduce is named, column
+    by column.
     """
     config = instance.config
     m = config.num_machines
@@ -399,18 +394,27 @@ def _check_instance(instance: Instance) -> None:
             raise ValueError(f"job {job_id}: weight {weight} is not in the weight mix")
         if op_start[j] == op_start[j + 1]:
             raise ValueError(f"job {job_id} has no operations")
-        total_median = 0.0
-        for o in range(op_start[j], op_start[j + 1]):
-            where = f"job {job_id} op {o - op_start[j]}"
-            machines = instance.machines[cand_start[o]:cand_start[o + 1]]
-            times = instance.proc_times[cand_start[o]:cand_start[o + 1]]
-            if times != tuple(instance.workload[o] / rates[i] for i in machines):
-                raise ValueError(f"{where}: processing times are not workload / machine rate")
-            if instance.median[o] != statistics.median(times):
-                raise ValueError(f"{where}: median {instance.median[o]} is not the processing times' median")
-            total_median += instance.median[o]
-        if due != release + config.due_date_factor * total_median:
-            raise ValueError(f"job {job_id}: due date is not release + due_date_factor * total median")
+
+    def where(o: int) -> str:
+        j = bisect.bisect_right(op_start, o) - 1
+        return f"job {j + 1} op {o - op_start[j]}"
+
+    o = next((o for o, w in enumerate(instance.workload) if not 0 < w < math.inf), None)
+    if o is not None:
+        raise ValueError(f"{where(o)}: workload {instance.workload[o]} is not positive and finite")
+    proc_times, median, due = (tuple(c.tolist()) for c in _timing_columns(
+        rates, instance.release, op_start, instance.workload, cand_start, instance.machines, config.due_date_factor
+    ))
+    i = _first_mismatch(instance.proc_times, proc_times)
+    if i is not None:
+        o = bisect.bisect_right(cand_start, i) - 1
+        raise ValueError(f"{where(o)}: processing times are not workload / machine rate")
+    o = _first_mismatch(instance.median, median)
+    if o is not None:
+        raise ValueError(f"{where(o)}: median {instance.median[o]} is not the processing times' median")
+    j = _first_mismatch(instance.due, due)
+    if j is not None:
+        raise ValueError(f"job {j + 1}: due date is not release + due_date_factor * total median")
 
 
 def load_instance(path: str) -> Instance:
@@ -439,8 +443,9 @@ def load_instance(path: str) -> Instance:
             for k, op in enumerate(rec["ops"]):
                 members, times = op["machines"], op["proc_times"]
                 where = f"job {position} op {k}"
-                if not (members and members == sorted(set(members)) and 0 <= members[0] and members[-1] < m):
-                    raise ValueError(f"{where}: machines {members} must be sorted, unique and in range({m})")
+                ints = all(type(i) is int for i in members)
+                if not (members and ints and members == sorted(set(members)) and 0 <= members[0] and members[-1] < m):
+                    raise ValueError(f"{where}: machines {members} must be sorted, unique integers in range({m})")
                 if len(times) != len(members):
                     raise ValueError(f"{where}: {len(times)} processing times for {len(members)} machines")
                 workload.append(op["workload"])

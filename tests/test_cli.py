@@ -258,6 +258,31 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "data error" in err and "huge-weight.jsonl" in err and "a weight is too large for a double" in err
 
+    def test_negative_workload_exit_4(self, ws, golden_files, capsys):
+        """Times, median and due date all match the negative workload; only its sign is wrong."""
+        inst_path, rules_path = golden_files
+        header, first, *rest = inst_path.read_text().splitlines(keepends=True)
+        job = json.loads(first)
+        job["ops"][0].update(workload=-300.0, proc_times=[-30.0], median=-30.0)
+        job["due"] = -45.0
+        bad = ws / "negative-workload.jsonl"
+        bad.write_text(header + json.dumps(job) + "\n" + "".join(rest))
+        assert main(["simulate", "--rules", str(rules_path), "--instance", str(bad)]) == 4
+        captured = capsys.readouterr()
+        assert "makespan" not in captured.out
+        assert "data error" in captured.err and "workload -300.0 is not positive and finite" in captured.err
+
+    def test_invalid_header_config_exit_4(self, ws, golden_files, capsys):
+        inst_path, rules_path = golden_files
+        header, *jobs = inst_path.read_text().splitlines(keepends=True)
+        data = json.loads(header)
+        data["config"]["utilization"] = 2.0
+        bad = ws / "bad-config.jsonl"
+        bad.write_text(json.dumps(data) + "\n" + "".join(jobs))
+        assert main(["simulate", "--rules", str(rules_path), "--instance", str(bad)]) == 4
+        err = capsys.readouterr().err
+        assert "data error" in err and "bad-config.jsonl" in err and "utilization must lie in (0, 1)" in err
+
     @pytest.mark.parametrize("header", ["[1, 2]", '"x"'])
     def test_header_not_an_object_exit_4(self, ws, golden_files, capsys, header):
         inst_path, rules_path = golden_files
@@ -657,6 +682,28 @@ class TestCompare:
         assert main(argv) == 4
         err = capsys.readouterr().err
         assert f"new-s1-1.jsonl:{line + 1}: line is not a JSON object" in err
+
+    @pytest.mark.parametrize(
+        "line, key, value, fragment",
+        [
+            (0, "meta", [1], "meta is not a JSON object"),
+            (-1, "result", 7, "result is not a JSON object"),
+            (1, "gen0_fitness", 7, "gen0_fitness is not a list of numbers"),
+            (1, "gen0_fitness", [1.0, "2"], "gen0_fitness is not a list of numbers"),
+        ],
+    )
+    def test_field_of_the_wrong_type_exit_4(self, record_dir, capsys, line, key, value, fragment):
+        path = record_dir / "new-s1-1.jsonl"
+        rows = [json.loads(row) for row in path.read_text().splitlines()]
+        rows[line][key] = value
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        argv = [
+            "compare", "--records", str(record_dir / "*.jsonl"),
+            "--baseline", "base", "--out", str(record_dir / "cmp"),
+        ]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "data error" in err and f"new-s1-1.jsonl:{line % len(rows) + 1}: {fragment}" in err
 
     def test_unknown_baseline_exit_4(self, record_dir):
         argv = [

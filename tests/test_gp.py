@@ -446,13 +446,14 @@ class TestFitnessEvaluator:
         assert runs == [(True, True), (True, False), (False, True)]
 
     def test_instance_cache_reuses_objects(self):
+        """The evaluator holds the last seed's instance only."""
         ev = FitnessEvaluator(SMALL_CONFIG, SMALL_SCENARIO)
         first = ev.instance(1)
         assert ev.instance(1) is first
-        for seed in range(2, gp_module._INSTANCE_CACHE_SIZE + 2):
-            ev.instance(seed)  # the last one evicts seed 1
-        assert ev.instance(1) is not first
-        assert ev.instance(1) == first
+        second = ev.instance(2)
+        assert second.seed == 2 and ev.instance(2) is second
+        again = ev.instance(1)
+        assert again is not first and again == first
 
     def test_identical_genomes_get_identical_fitness(self):
         ev = FitnessEvaluator(SMALL_CONFIG, SMALL_SCENARIO)

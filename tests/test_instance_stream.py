@@ -185,13 +185,18 @@ def per_job_derivation(inst: Instance) -> tuple[list, list, list]:
 
 @pytest.mark.parametrize("name", sorted(INVARIANT_CONFIGS))
 def test_derived_columns_match_a_per_job_loop(name, tmp_path):
-    """NPT, WKR and due dates are bit-identical to a per-job loop, on generated and loaded instances."""
+    """NPT, WKR and due dates are bit-identical to a per-job loop, on generated and loaded instances.
+
+    The loaded instance, config included, also equals the generated one.
+    """
     config = INVARIANT_CONFIGS[name]
     path = tmp_path / "instance.jsonl"
     for seed in range(10):
         inst = generate_instance(config, seed=seed)
         dump_instance(inst, str(path))
-        for candidate in (inst, load_instance(str(path))):
+        loaded = load_instance(str(path))
+        assert loaded == inst, f"seed {seed}"
+        for candidate in (inst, loaded):
             npt, wkr, due = per_job_derivation(candidate)
             # repr tells -0.0 from 0.0 and compares every bit of each double.
             assert repr(candidate.npt) == repr(tuple(npt)), f"seed {seed}"

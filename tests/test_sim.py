@@ -450,10 +450,11 @@ class TestInstanceGeneration:
 
 
 # (where, field, value, message fragment): "header", a job index, or a
-# (job, op) index into the golden instance's dump; "jobs" keeps only the
-# first ``value`` job lines; a job index with field None sets each field
-# of the dict ``value``; "header" with field None replaces the header by
-# ``value``, and "line" replaces job line ``field``.
+# (job, op) index into the golden instance's dump; "config" sets a field
+# of the header's config, or deletes it for value None; "jobs" keeps
+# only the first ``value`` job lines; a job index with field None sets
+# each field of the dict ``value``; "header" with field None replaces the
+# header by ``value``, and "line" replaces job line ``field``.
 _CORRUPTIONS = [
     ("header", "machine_rates", [10.0, 10.0, 10.0], "2 machine rates"),
     ("header", "machine_rates", [10.0, 0.0], "positive"),
@@ -486,6 +487,16 @@ _CORRUPTIONS = [
     ("header", None, "x", "is not an instance file"),
     ("line", 1, 7, "job line 2 is not a JSON object"),
     ("line", 0, [1], "job line 1 is not a JSON object"),
+    # Consistent in every derived column; only the workload's sign is wrong.
+    (
+        0, None,
+        {"due": -45.0, "ops": [{"workload": -300.0, "machines": [0], "proc_times": [-30.0], "median": -30.0}]},
+        "job 1 op 0: workload -300.0 is not positive and finite",
+    ),
+    ("config", "utilization", 2.0, "config: utilization must lie in (0, 1), got 2.0"),
+    ("config", "weight_mix", [[1, 0.5]], "config: weight probabilities must sum to 1"),
+    ("config", "seed", None, "'seed'"),
+    ((0, 0), "machines", [0.0], "integers"),
 ]
 
 
@@ -549,6 +560,10 @@ class TestPersistence:
             header = value
         elif where == "header":
             header[field] = value
+        elif where == "config" and value is None:
+            del header["config"][field]
+        elif where == "config":
+            header["config"][field] = value
         elif where == "line":
             jobs[field] = value
         elif where == "jobs":
@@ -562,6 +577,30 @@ class TestPersistence:
         path.write_text("".join(json.dumps(record) + "\n" for record in (header, *jobs)))
         with pytest.raises(DataError, match=re.escape(fragment)):
             load_instance(str(path))
+
+
+    def test_load_names_the_first_value_one_ulp_off(self, tmp_path):
+        """A processing time, median or due date one ulp off is rejected and located."""
+        inst = generate_instance(SimConfig(num_machines=4, total_jobs=6, warmup_jobs=1), seed=7)
+        where, op_where = [], []  # "job J op K" of each candidate, and of each operation
+        for j in range(len(inst.release)):
+            for k, o in enumerate(range(inst.op_start[j], inst.op_start[j + 1])):
+                op_where.append(f"job {j + 1} op {k}")
+                where += [op_where[-1]] * (inst.cand_start[o + 1] - inst.cand_start[o])
+        sizes = [b - a for a, b in zip(inst.cand_start, inst.cand_start[1:])]
+        assert sum(size > 1 for size in sizes) >= 10
+        cases = (
+            [("proc_times", i, f": {where[i]}: processing times are not") for i in range(len(where))]
+            + [("median", o, f": {op_where[o]}: median") for o in range(len(op_where))]
+            + [("due", j, f": job {j + 1}: due date is not") for j in range(len(inst.release))]
+        )
+        path = tmp_path / "nudged.jsonl"
+        for column, index, fragment in cases:
+            values = list(getattr(inst, column))
+            values[index] = math.nextafter(values[index], math.inf)
+            dump_instance(replace(inst, **{column: tuple(values)}), str(path))
+            with pytest.raises(DataError, match=re.escape(fragment)):
+                load_instance(str(path))
 
 
 class TestEngineBehaviour:
