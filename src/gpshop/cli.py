@@ -32,13 +32,11 @@ from .records import (
     load_config,
     load_references,
     load_rule_pairs,
-    log_from_record,
     read_run_record,
-    record_to_run,
     write_run_record,
     write_text_atomic,
 )
-from .rules import RulePair, rules_from_text, rules_to_text
+from .rules import RulePair, rules_to_text
 from .sim.config import OBJECTIVE_KEYS, Scenario, SimConfig
 from .sim.engine import run_simulation
 from .sim.instance import dump_instance, generate_instance, load_instance
@@ -121,16 +119,15 @@ def _evolve_one_run(payload: dict) -> dict:
     """Execute one GP run and persist its three output files.
 
     Top-level so ProcessPoolExecutor can ship it to workers; everything
-    in the payload is picklable (dataclasses, strings, ints).
+    in the payload is picklable (dataclasses, rule pairs, strings, ints).
     """
     scenario: Scenario = payload["scenario"]
     sim: SimConfig = payload["sim"]
     gp: GPParams = payload["gp"]
-    seed_texts: list[str] | None = payload["seed_texts"]
+    seed_pairs: list[RulePair] | None = payload["seed_pairs"]
     run_index: int = payload["run_index"]
     run_seed: int = payload["run_seed"]
 
-    seed_pairs = None if seed_texts is None else [rules_from_text(t) for t in seed_texts]
     rng = np.random.default_rng(run_seed)
     evaluator = FitnessEvaluator(sim, scenario)
     best, log = evolve(gp, scenario, sim, rng, seed_rules=seed_pairs, evaluator=evaluator)
@@ -181,17 +178,17 @@ def cmd_evolve(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     if args.init == "random":
-        seed_texts = None
+        seed_pairs = None
     elif args.init == "file":
         if not args.seeds_file:
             raise ConfigError("--init file requires --seeds-file")
-        seed_texts = [rules_to_text(p) for p in load_rule_pairs(args.seeds_file)]
+        seed_pairs = load_rule_pairs(args.seeds_file)
     else:  # llm
         # One provider call in the parent; all runs share the accepted seeds.
         extraction = _request_seeds(cfg, scenario, args, os.path.join(args.out, "llm-seeds.txt"))
         if not extraction.accepted:
             print("warning: no usable pairs in the reply; population will be fully random", file=sys.stderr)
-        seed_texts = [rules_to_text(p) for p in extraction.accepted]
+        seed_pairs = extraction.accepted
 
     run_seeds = _derive_run_seeds(args.seed, args.run_offset, args.runs)
     payloads = [
@@ -199,7 +196,7 @@ def cmd_evolve(args) -> int:
             "scenario": scenario,
             "sim": cfg.sim,
             "gp": cfg.gp,
-            "seed_texts": seed_texts,
+            "seed_pairs": seed_pairs,
             "run_index": args.run_offset + i,
             "run_seed": run_seed,
             "master_seed": args.seed,
@@ -262,24 +259,26 @@ def _series_csv(methods: list[str], series: dict[str, list[float]]) -> str:
 
 
 def cmd_compare(args) -> int:
+    if not 0 < args.alpha < 1:  # written so that NaN fails
+        raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha}")
     paths = sorted({p for pattern in args.records for p in glob.glob(pattern)})
     if not paths:
         raise DataError(f"no record files match {args.records}")
     records = [read_run_record(p) for p in paths]
-    runs = [record_to_run(r) for r in records]
+    runs = [r.run for r in records]
     table = summarize(runs, baseline=args.baseline, alpha=args.alpha)
     os.makedirs(args.out, exist_ok=True)
     write_text_atomic(os.path.join(args.out, "comparison.csv"), table.to_csv())
 
-    by_method: dict[str, list] = {m: [] for m in table.methods}
+    logs_by_method: dict[str, list] = {m: [] for m in table.methods}
     for rec in records:
-        by_method[rec.meta["method"]].append(rec)
+        logs_by_method[rec.run.method].append(rec.log)
 
     gen0_lines = ["method,fitness"]
     diversity: dict[str, list[float]] = {}
     convergence: dict[str, list[float]] = {}
     for method in table.methods:
-        logs = [log_from_record(r) for r in by_method[method]]
+        logs = logs_by_method[method]
         gen0_lines += [f"{method},{v!r}" for v in initial_fitness_distribution(logs)]
         depth = min(len(log.entries) for log in logs)
         diversity[method] = [
@@ -292,10 +291,7 @@ def cmd_compare(args) -> int:
     write_text_atomic(os.path.join(args.out, "diversity.csv"), _series_csv(table.methods, diversity))
     write_text_atomic(os.path.join(args.out, "convergence.csv"), _series_csv(table.methods, convergence))
 
-    best_pairs = [
-        RulePair.from_text(r.result["best_routing"], r.result["best_sequencing"]) for r in records
-    ]
-    freq = terminal_frequency_report(best_pairs)
+    freq = terminal_frequency_report([r.best for r in records])
     freq_lines = ["terminal,routing,sequencing"]
     freq_lines += [
         f"{t.name},{freq['routing'][t.name]!r},{freq['sequencing'][t.name]!r}" for t in TERMINAL_ORDER

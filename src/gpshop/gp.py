@@ -7,7 +7,6 @@ half-and-half) or warm-started from externally supplied rule pairs.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,7 +115,6 @@ class GenerationStats:
     diversity: float
     best_routing: str
     best_sequencing: str
-    wall_time: float
     op_counts: dict[str, int] = field(default_factory=dict)
     aborted: int = 0
 
@@ -431,7 +429,6 @@ def evolve(
     best_ever: Individual | None = None
     op_counts: dict[str, int] = {"init": params.population_size}
     for g in range(params.generations):
-        t0 = time.perf_counter()
         seed = train_seeds[g % len(train_seeds)]
         evaluator.evaluate_population(population, seed)
         if g == 0:
@@ -448,7 +445,6 @@ def evolve(
                 diversity=phenotypic_diversity(population),
                 best_routing=format_expr(gen_best.genome.routing),
                 best_sequencing=format_expr(gen_best.genome.sequencing),
-                wall_time=time.perf_counter() - t0,
                 op_counts=dict(op_counts),
                 aborted=len(population) - len(completed),
             )

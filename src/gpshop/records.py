@@ -10,9 +10,9 @@ filesystem paths.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass
 from importlib import resources
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import yaml
 
@@ -23,7 +23,7 @@ from .gp import EvolutionLog, GenerationStats, GPParams, SeedRejection
 from .llm.prompts import ReferenceHeuristic
 from .llm.provider import ProviderConfig
 from .rules import RulePair, rules_from_text, rules_to_text
-from .sim.config import Scenario, SimConfig
+from .sim.config import Scenario, SimConfig, config_from_mapping
 
 __all__ = [
     "AppConfig",
@@ -31,8 +31,6 @@ __all__ = [
     "RunRecordFile",
     "write_run_record",
     "read_run_record",
-    "record_to_run",
-    "log_from_record",
     "load_rule_pairs",
     "dump_rule_pairs",
     "load_references",
@@ -66,45 +64,6 @@ class AppConfig:
         return self.scenarios[key]
 
 
-def _as_tuples(value):
-    """YAML lists become tuples so frozen dataclasses accept them."""
-    if isinstance(value, list):
-        return tuple(_as_tuples(v) for v in value)
-    return value
-
-
-def _check_keys(section: str, mapping: Mapping[str, Any], allowed: Iterable[str]) -> None:
-    allowed = set(allowed)
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigError(f"{section}: unknown key {key!r}")
-
-
-def _build_dataclass(cls, section: str, mapping: Mapping[str, Any]):
-    _check_keys(section, mapping, (f.name for f in fields(cls)))
-    kwargs = {k: _as_tuples(v) for k, v in mapping.items()}
-    try:
-        return cls(**kwargs)
-    except ConfigError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
-    except TypeError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
-
-
-def _build_scenario(name: str, mapping: Mapping[str, Any]) -> Scenario:
-    section = f"scenarios.{name}"
-    if not isinstance(mapping, Mapping):
-        raise ConfigError(f"{section}: expected a mapping")
-    _check_keys(section, mapping, ("objectives", "lambdas", "utilization", "training_seeds", "test_seeds"))
-    kwargs = {k: _as_tuples(v) for k, v in mapping.items()}
-    try:
-        return Scenario(name=name, **kwargs)
-    except ConfigError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
-    except TypeError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
-
-
 def _default_config_text() -> str:
     return resources.files("gpshop").joinpath("data/default_config.yaml").read_text(encoding="utf-8")
 
@@ -129,8 +88,9 @@ def load_config(path: str | None = None) -> AppConfig:
             user = {}
         if not isinstance(user, Mapping):
             raise ConfigError(f"config {path} must be a mapping at top level")
-        _check_keys("config", user, _CONFIG_SECTIONS)
         for section, value in user.items():
+            if section not in _CONFIG_SECTIONS:
+                raise ConfigError(f"config: unknown key {section!r}")
             if section == "default_scenario":
                 data[section] = value
             else:
@@ -139,25 +99,28 @@ def load_config(path: str | None = None) -> AppConfig:
                 data[section].update(value)
 
     llm = dict(data["llm"])
-    _check_keys("llm", llm, [f.name for f in fields(ProviderConfig)] + ["n_requested"])
     n_requested = llm.pop("n_requested", 100)
+    provider = config_from_mapping(ProviderConfig, "llm", llm)
     if not isinstance(n_requested, int) or n_requested < 1:
         raise ConfigError(f"llm: n_requested must be a positive integer, got {n_requested!r}")
 
     scenarios_raw = data["scenarios"]
     if not scenarios_raw:
         raise ConfigError("scenarios: at least one scenario is required")
-    scenarios = {name: _build_scenario(name, spec) for name, spec in scenarios_raw.items()}
+    scenarios = {
+        name: config_from_mapping(Scenario, f"scenarios.{name}", spec, name=name)
+        for name, spec in scenarios_raw.items()
+    }
     default_name = data["default_scenario"]
     if default_name not in scenarios:
         raise ConfigError(f"default_scenario {default_name!r} is not a configured scenario")
 
     return AppConfig(
-        sim=_build_dataclass(SimConfig, "sim", data["sim"]),
-        gp=_build_dataclass(GPParams, "gp", data["gp"]),
+        sim=config_from_mapping(SimConfig, "sim", data["sim"]),
+        gp=config_from_mapping(GPParams, "gp", data["gp"]),
         scenarios=scenarios,
         default_scenario=default_name,
-        provider=_build_dataclass(ProviderConfig, "llm", llm),
+        provider=provider,
         n_requested=n_requested,
     )
 
@@ -167,13 +130,14 @@ def load_config(path: str | None = None) -> AppConfig:
 
 @dataclass
 class RunRecordFile:
-    """One GP run, as persisted: header meta, logs, and the final result."""
+    """One GP run, as persisted (``meta``, ``result``) and as ``compare`` reads it."""
 
     meta: dict[str, Any]
-    gen0_fitness: list[float] = field(default_factory=list)
-    generations: list[dict[str, Any]] = field(default_factory=list)
-    result: dict[str, Any] = field(default_factory=dict)
-    path: str = ""
+    result: dict[str, Any]
+    run: RunRecord
+    log: EvolutionLog
+    best: RulePair
+    path: str
 
 
 def build_run_meta(
@@ -209,10 +173,7 @@ def run_record_lines(meta: Mapping[str, Any], log: EvolutionLog, result: Mapping
     dump = lambda obj: json.dumps(obj, sort_keys=True)
     lines = [dump({"kind": RECORD_KIND, "version": RECORD_VERSION, "meta": meta})]
     lines.append(dump({"gen0_fitness": list(log.gen0_fitness)}))
-    for entry in log.entries:
-        row = asdict(entry)
-        row.pop("wall_time")  # keeps records byte-identical across runs
-        lines.append(dump(row))
+    lines.extend(dump(asdict(entry)) for entry in log.entries)
     lines.append(dump({"result": dict(result)}))
     return lines
 
@@ -222,6 +183,7 @@ def write_run_record(path: str, meta: Mapping[str, Any], log: EvolutionLog, resu
 
 
 def read_run_record(path: str) -> RunRecordFile:
+    """Read and check a record written by ``write_run_record``; DataError naming ``path`` on any defect."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw_lines = [line for line in fh.read().splitlines() if line.strip()]
@@ -243,50 +205,39 @@ def read_run_record(path: str) -> RunRecordFile:
         raise DataError(f"{path}: not a {RECORD_KIND} file")
     if header.get("version") != RECORD_VERSION:
         raise DataError(f"{path}: unsupported record version {header.get('version')!r}")
-    record = RunRecordFile(meta=header.get("meta", {}), path=path)
-    if not isinstance(record.meta, dict):
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
         raise DataError(f"{path}:1: meta is not a JSON object")
+    gen0_fitness: list = []
+    generations: list[dict[str, Any]] = []
+    result: dict[str, Any] = {}
     for i, row in enumerate(rows[1:], start=2):
         if "gen0_fitness" in row:
-            values = row["gen0_fitness"]
-            if not (isinstance(values, list) and all(type(x) in (int, float) for x in values)):
+            gen0_fitness = row["gen0_fitness"]
+            if not (isinstance(gen0_fitness, list) and all(type(x) in (int, float) for x in gen0_fitness)):
                 raise DataError(f"{path}:{i}: gen0_fitness is not a list of numbers")
-            record.gen0_fitness = [float(x) for x in values]
         elif "result" in row:
-            if not isinstance(row["result"], dict):
+            result = row["result"]
+            if not isinstance(result, dict):
                 raise DataError(f"{path}:{i}: result is not a JSON object")
-            record.result = row["result"]
         elif "generation" in row:
-            record.generations.append(row)
+            generations.append(row)
         else:
             raise DataError(f"{path}: unrecognized record line {row!r}")
-    if not record.result:
+    if not result:
         raise DataError(f"{path}: record has no result line (incomplete run?)")
-    return record
 
-
-def record_to_run(record: RunRecordFile, metric: str = "test_fitness") -> RunRecord:
-    """Project a record file onto the tuple the comparison harness wants."""
     try:
-        fitness = float(record.result[metric])
-    except KeyError as exc:
-        raise DataError(f"{record.path}: result has no {metric!r} entry") from exc
-    meta = record.meta
-    try:
-        return RunRecord(
-            method=meta["method"],
-            scenario=meta["scenario"],
+        method, scenario = meta["method"], meta["scenario"]
+        if not (isinstance(method, str) and isinstance(scenario, str)):
+            raise TypeError("meta method and scenario must be strings")
+        run = RunRecord(
+            method=method,
+            scenario=scenario,
             seed=int(meta["run_seed"]),
-            fitness=fitness,
-            log_path=record.path,
+            fitness=float(result["test_fitness"]),
+            log_path=path,
         )
-    except KeyError as exc:
-        raise DataError(f"{record.path}: meta is missing {exc}") from exc
-
-
-def log_from_record(record: RunRecordFile) -> EvolutionLog:
-    """Rebuild an EvolutionLog (wall times zeroed) for the figure helpers; DataError if a row is malformed."""
-    try:
         entries = [
             GenerationStats(
                 generation=int(row["generation"]),
@@ -295,19 +246,17 @@ def log_from_record(record: RunRecordFile) -> EvolutionLog:
                 diversity=float(row["diversity"]),
                 best_routing=row["best_routing"],
                 best_sequencing=row["best_sequencing"],
-                wall_time=0.0,
                 op_counts=dict(row.get("op_counts", {})),
                 aborted=int(row.get("aborted", 0)),
             )
-            for row in record.generations
+            for row in generations
         ]
-        rejections = [
-            SeedRejection(index=int(r["index"]), cause=r["cause"])
-            for r in record.meta.get("seed_rejections", [])
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{record.path}: malformed generation or seed-rejection row: {exc!r}") from exc
-    return EvolutionLog(entries=entries, gen0_fitness=list(record.gen0_fitness), seed_rejections=rejections)
+        rejections = [SeedRejection(index=int(r["index"]), cause=r["cause"]) for r in meta.get("seed_rejections", [])]
+        log = EvolutionLog(entries=entries, gen0_fitness=[float(x) for x in gen0_fitness], seed_rejections=rejections)
+        best = RulePair.from_text(result["best_routing"], result["best_sequencing"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # ExprError is a ValueError
+        raise DataError(f"{path}: malformed run record: {exc!r}") from exc
+    return RunRecordFile(meta=meta, result=result, run=run, log=log, best=best, path=path)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ def rules_to_text(pair: RulePair) -> str:
 
 
 def rules_from_text(text: str) -> RulePair:
-    """Parse the two-line format; raises DataError on any defect."""
+    """Parse the two-line format; raises DataError on any defect, a repeated line included."""
     routing_src: str | None = None
     sequencing_src: str | None = None
     for line in text.splitlines():
@@ -56,8 +56,12 @@ def rules_from_text(text: str) -> RulePair:
             continue
         lowered = stripped.lower()
         if lowered.startswith("routing:"):
+            if routing_src is not None:
+                raise DataError("rule text has more than one 'routing:' line")
             routing_src = stripped[len("routing:"):].strip()
         elif lowered.startswith("sequencing:"):
+            if sequencing_src is not None:
+                raise DataError("rule text has more than one 'sequencing:' line")
             sequencing_src = stripped[len("sequencing:"):].strip()
     if routing_src is None or sequencing_src is None:
         missing = "routing" if routing_src is None else "sequencing"

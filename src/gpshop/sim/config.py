@@ -2,11 +2,38 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
+from typing import Any, Mapping
 
 from ..errors import ConfigError
 
 OBJECTIVE_KEYS = ("Tmax", "Tmean", "Fmean", "WTmean", "WFmean")
+
+
+def _as_tuples(value):
+    """YAML and JSON lists become tuples so frozen dataclasses accept them."""
+    if isinstance(value, list):
+        return tuple(_as_tuples(v) for v in value)
+    return value
+
+
+def config_from_mapping(cls, section: str, mapping: Any, **fixed):
+    """Build the frozen config dataclass ``cls`` from a YAML or JSON mapping.
+
+    ``fixed`` fields are set by the caller and may not appear in the
+    mapping.  Raises ConfigError, prefixed with ``section``, if the value is
+    not a mapping, has a key that is not a field, or is rejected by ``cls``.
+    """
+    if not isinstance(mapping, Mapping):
+        raise ConfigError(f"{section}: expected a mapping")
+    known = {f.name for f in fields(cls)} - fixed.keys()
+    for key in mapping:
+        if key not in known:
+            raise ConfigError(f"{section}: unknown key {key!r}")
+    try:
+        return cls(**{k: _as_tuples(v) for k, v in mapping.items()}, **fixed)
+    except (ConfigError, TypeError) as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 from ..errors import ConfigError, DataError
 from ..expr import MAX_INSTANCE_VALUE, MAX_MAGNITUDE
 from ..fileio import write_text_atomic
-from .config import SimConfig
+from .config import SimConfig, config_from_mapping
 
 
 @dataclass(frozen=True)
@@ -305,17 +305,14 @@ def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
 # ------------------------------------------------------------ persistence
 
 def _config_from_dict(data: dict) -> SimConfig:
-    """The SimConfig written by ``dump_instance``: every field required, lists as tuples, ValueError if invalid."""
-    kwargs = {}
-    for name in (f.name for f in fields(SimConfig)):
-        value = data[name]
-        if isinstance(value, list):
-            value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        kwargs[name] = value
+    """The SimConfig written by ``dump_instance``: every field required, ValueError if invalid."""
+    for f in fields(SimConfig):
+        if f.name not in data:
+            raise KeyError(f.name)
     try:
-        return SimConfig(**kwargs)
+        return config_from_mapping(SimConfig, "config", data)
     except ConfigError as exc:
-        raise ValueError(f"config: {exc}") from exc
+        raise ValueError(str(exc)) from exc
 
 
 def dump_instance(instance: Instance, path: str) -> None:

@@ -307,8 +307,8 @@ class TestEvolve:
         assert rec0.meta["run_seed"] != rec1.meta["run_seed"]
         assert rec0.meta["master_seed"] == rec1.meta["master_seed"] == 5
         assert rec0.meta["method"] == "gp-random"
-        assert len(rec0.gen0_fitness) == 6
-        assert len(rec0.generations) == 1
+        assert len(rec0.log.gen0_fitness) == 6
+        assert len(rec0.log.entries) == 1
         assert rec0.result["evaluations"] > 0
         for name in ("run-0.log.csv", "run-0.best.txt", "run-1.log.csv", "run-1.best.txt"):
             assert (runs_random / name).exists()
@@ -400,7 +400,7 @@ class TestEvolve:
         best = (out / "run-0.best.txt").read_text()
         assert best in {canonical(*p) for p in CANNED_PAIRS}
         rec = read_run_record(str(out / "run-0.jsonl"))
-        assert len(rec.gen0_fitness) == 2
+        assert len(rec.log.gen0_fitness) == 2
 
     def test_missing_canned_reply_exit_3(self, ws, tmp_path, capsys):
         empty_mock = tmp_path / "empty-mock"
@@ -573,14 +573,17 @@ SMALL_SIM = SimConfig(num_machines=2, total_jobs=20, warmup_jobs=4)
 SMALL_GP = GPParams(population_size=4, generations=2)
 
 
+_MISSING = object()  # marks a key to delete in TestCompare::test_malformed_value_exit_4
+
+
 def fake_record(path: str, method: str, scenario_name: str, seed: int, fitness: float):
     scenario = Scenario(
         objectives=("Fmean",), lambdas=(1.0,), training_seeds=(1,), test_seeds=(2,), name=scenario_name
     )
     log = EvolutionLog(
         entries=[
-            GenerationStats(0, fitness + 1, fitness + 2, 1.0, "WIQ", "PT", 0.1, {"init": 4}),
-            GenerationStats(1, fitness, fitness + 1, 0.5, "WIQ", "PT", 0.1, {"crossover": 4}),
+            GenerationStats(0, fitness + 1, fitness + 2, 1.0, "WIQ", "PT", {"init": 4}),
+            GenerationStats(1, fitness, fitness + 1, 0.5, "WIQ", "PT", {"crossover": 4}),
         ],
         gen0_fitness=[fitness + 1, fitness + 2],
     )
@@ -704,6 +707,53 @@ class TestCompare:
         assert main(argv) == 4
         err = capsys.readouterr().err
         assert "data error" in err and f"new-s1-1.jsonl:{line % len(rows) + 1}: {fragment}" in err
+
+    @pytest.mark.parametrize(
+        "line, keys, value",
+        [
+            (-1, ("result", "test_fitness"), "x"),
+            (-1, ("result", "test_fitness"), None),
+            (1, ("gen0_fitness",), [10**400]),
+            (2, ("best_fitness",), 10**400),
+            (0, ("meta", "run_seed"), "abc"),
+            (-1, ("result", "best_routing"), "exp(PT)"),
+            (-1, ("result", "best_routing"), _MISSING),
+            (0, ("meta", "method"), 7),
+        ],
+        ids=[
+            "test_fitness-text", "test_fitness-null", "gen0-overflow", "best_fitness-overflow",
+            "run_seed-text", "best_routing-unparsable", "best_routing-missing", "method-int",
+        ],
+    )
+    def test_malformed_value_exit_4(self, record_dir, capsys, line, keys, value):
+        path = record_dir / "new-s1-1.jsonl"
+        rows = [json.loads(row) for row in path.read_text().splitlines()]
+        *parents, key = keys
+        target = rows[line]
+        for parent in parents:
+            target = target[parent]
+        if value is _MISSING:
+            del target[key]
+        else:
+            target[key] = value
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        argv = [
+            "compare", "--records", str(record_dir / "*.jsonl"),
+            "--baseline", "base", "--out", str(record_dir / "cmp"),
+        ]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "data error" in err and "new-s1-1.jsonl" in err
+
+    @pytest.mark.parametrize("alpha", ["2", "-1", "nan", "0", "1"])
+    def test_alpha_outside_the_unit_interval_exit_2(self, record_dir, capsys, alpha):
+        argv = [
+            "compare", "--records", str(record_dir / "*.jsonl"),
+            "--baseline", "base", "--alpha", alpha, "--out", str(record_dir / "cmp"),
+        ]
+        assert main(argv) == 2
+        assert "--alpha must lie in (0, 1)" in capsys.readouterr().err
+        assert not (record_dir / "cmp").exists()
 
     def test_unknown_baseline_exit_4(self, record_dir):
         argv = [

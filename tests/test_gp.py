@@ -506,7 +506,6 @@ class TestEvolve:
             assert entry.best_routing
             assert entry.best_sequencing
             assert 0.0 < entry.diversity <= 1.0
-            assert entry.wall_time >= 0.0
 
     def test_evolve_is_deterministic(self):
         runs = []

@@ -467,6 +467,12 @@ class TestExtraction:
         assert result.accepted == []
         assert result.rejected[0].cause == "max depth exceeded (9 > 8)"
 
+    def test_duplicated_line_is_rejected_not_repaired(self):
+        reply = "```\nrouting: WIQ\nrouting: PT\nsequencing: PT\n```\n"
+        result = extract_heuristics(reply)
+        assert result.accepted == []
+        assert result.rejected[0].cause == "rule text has more than one 'routing:' line"
+
     def test_many_well_formed_pairs(self):
         blocks = "\n".join(
             f"```\nrouting: (WIQ + PT)\nsequencing: (PT + TIS)\n```" for _ in range(30)

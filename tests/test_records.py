@@ -14,9 +14,7 @@ from gpshop.records import (
     load_config,
     load_references,
     load_rule_pairs,
-    log_from_record,
     read_run_record,
-    record_to_run,
     run_record_lines,
     write_run_record,
     write_text_atomic,
@@ -117,8 +115,8 @@ class TestLoadConfig:
 
 def sample_log() -> EvolutionLog:
     entries = [
-        GenerationStats(0, 10.0, 20.0, 1.0, "WIQ", "PT", 0.5, {"init": 4}),
-        GenerationStats(1, 8.0, 15.0, 0.75, "WIQ", "(PT + WKR)", 0.4, {"crossover": 3, "mutation": 1}),
+        GenerationStats(0, 10.0, 20.0, 1.0, "WIQ", "PT", {"init": 4}),
+        GenerationStats(1, 8.0, 15.0, 0.75, "WIQ", "(PT + WKR)", {"crossover": 3, "mutation": 1}),
     ]
     return EvolutionLog(
         entries=entries,
@@ -164,8 +162,8 @@ class TestRunRecords:
         assert rec.meta["run_seed"] == 12345
         assert rec.meta["seed_genomes"] == ["routing: WIQ\nsequencing: PT\n"]
         assert rec.meta["seed_rejections"] == [{"index": 2, "cause": "max depth exceeded (9 > 8)"}]
-        assert rec.gen0_fitness == [10.0, 20.0, 25.0, 25.0]
-        assert len(rec.generations) == 2
+        assert rec.log.gen0_fitness == [10.0, 20.0, 25.0, 25.0]
+        assert len(rec.log.entries) == 2
         assert rec.result == RESULT
         assert rec.path == path
 
@@ -192,26 +190,22 @@ class TestRunRecords:
     def test_record_to_run(self, tmp_path):
         path = str(tmp_path / "r.jsonl")
         write_run_record(path, sample_meta(SCENARIO), sample_log(), RESULT)
-        run = record_to_run(read_run_record(path))
+        run = read_run_record(path).run
         assert (run.method, run.scenario, run.seed, run.fitness) == ("gp-llm", "t", 12345, 9.5)
         assert run.log_path == path
-        train = record_to_run(read_run_record(path), metric="train_fitness")
-        assert train.fitness == 8.0
-        with pytest.raises(DataError, match="no 'nope' entry"):
-            record_to_run(read_run_record(path), metric="nope")
 
     def test_log_from_record(self, tmp_path):
         path = str(tmp_path / "r.jsonl")
         log = sample_log()
         log.entries[1].aborted = 2
         write_run_record(path, sample_meta(SCENARIO), log, RESULT)
-        rebuilt = log_from_record(read_run_record(path))
+        rebuilt = read_run_record(path).log
+        assert rebuilt == log
         assert [e.aborted for e in rebuilt.entries] == [0, 2]
         assert rebuilt.gen0_fitness == log.gen0_fitness
         assert [e.generation for e in rebuilt.entries] == [0, 1]
         assert rebuilt.entries[1].best_fitness == 8.0
         assert rebuilt.entries[1].op_counts == {"crossover": 3, "mutation": 1}
-        assert all(e.wall_time == 0.0 for e in rebuilt.entries)
         assert rebuilt.seed_rejections == log.seed_rejections
 
     def test_log_from_record_without_abort_counts(self, tmp_path):
@@ -223,7 +217,7 @@ class TestRunRecords:
             row.pop("aborted", None)
         path = tmp_path / "old.jsonl"
         path.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
-        rebuilt = log_from_record(read_run_record(str(path)))
+        rebuilt = read_run_record(str(path)).log
         assert [e.aborted for e in rebuilt.entries] == [0, 0]
 
     def test_read_rejects_defects(self, tmp_path):

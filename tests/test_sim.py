@@ -497,6 +497,7 @@ _CORRUPTIONS = [
     ("config", "weight_mix", [[1, 0.5]], "config: weight probabilities must sum to 1"),
     ("config", "seed", None, "'seed'"),
     ((0, 0), "machines", [0.0], "integers"),
+    ("config", "machine_count", 3, "config: unknown key 'machine_count'"),
 ]
 
 
