@@ -34,6 +34,7 @@ __all__ = [
     "FUNCTION_ORDER",
     "MAX_MAGNITUDE",
     "MAX_INSTANCE_VALUE",
+    "MAX_NESTING",
     "evaluate",
     "compile_expression",
     "expression_source",
@@ -104,6 +105,14 @@ MAX_MAGNITUDE = 1e300
 MAX_INSTANCE_VALUE = 1e280
 
 MAX_DEPTH = 8
+
+# ``parse`` rejects text whose parentheses and min/max calls nest deeper
+# than this, or whose tree is deeper.  Redundant parentheses are legal, so
+# the bound sits well above MAX_DEPTH (``rules.check_depth`` enforces that
+# one); it keeps the recursive parser and the recursive tree functions
+# (``depth``, ``format_expr``, hashing, pickling) far from Python's
+# recursion limit.
+MAX_NESTING = 64
 
 
 class ExprError(ValueError):
@@ -344,6 +353,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent; each method returns (tree, its depth).
+
+    ``level`` counts the enclosing parentheses and min/max calls, at most
+    MAX_NESTING, so recursion is a few frames per level; no node is built
+    deeper than MAX_NESTING.
+    """
+
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.pos = 0
@@ -362,36 +378,41 @@ class _Parser:
             raise ExprSyntaxError(f"expected {what}, found {tok[1]!r}" if tok[1] else f"expected {what}, found end of input", tok[2])
         return self.advance()
 
-    def parse_expr(self) -> Expression:
-        node = self.parse_term()
+    @staticmethod
+    def call(fn: Function, lhs: tuple[Expression, int], rhs: tuple[Expression, int], offset: int) -> tuple[Expression, int]:
+        d = 1 + (lhs[1] if lhs[1] > rhs[1] else rhs[1])
+        if d > MAX_NESTING:
+            raise ExprSyntaxError(f"expression deeper than {MAX_NESTING} levels", offset)
+        return Expression.call(fn, lhs[0], rhs[0]), d
+
+    def parse_expr(self, level: int) -> tuple[Expression, int]:
+        node = self.parse_term(level)
         while self.peek()[0] in ("PLUS", "MINUS"):
-            kind, _, _ = self.advance()
-            rhs = self.parse_term()
-            fn = Function.ADD if kind == "PLUS" else Function.SUB
-            node = Expression.call(fn, node, rhs)
+            kind, _, offset = self.advance()
+            rhs = self.parse_term(level)
+            node = self.call(Function.ADD if kind == "PLUS" else Function.SUB, node, rhs, offset)
         return node
 
-    def parse_term(self) -> Expression:
-        node = self.parse_factor()
+    def parse_term(self, level: int) -> tuple[Expression, int]:
+        node = self.parse_factor(level)
         while self.peek()[0] in ("STAR", "SLASH"):
-            kind, _, _ = self.advance()
-            rhs = self.parse_factor()
-            fn = Function.MUL if kind == "STAR" else Function.DIV
-            node = Expression.call(fn, node, rhs)
+            kind, _, offset = self.advance()
+            rhs = self.parse_factor(level)
+            node = self.call(Function.MUL if kind == "STAR" else Function.DIV, node, rhs, offset)
         return node
 
-    def parse_factor(self) -> Expression:
+    def parse_factor(self, level: int) -> tuple[Expression, int]:
         kind, text, offset = self.peek()
         if kind == "NAME":
             self.advance()
             if text in _TERMINAL_BY_NAME:
-                return Expression.leaf(_TERMINAL_BY_NAME[text])
+                return Expression.leaf(_TERMINAL_BY_NAME[text]), 1
             if text in ("min", "max"):
-                return self.parse_min_max(text, offset)
+                return self.parse_min_max(text, offset, self.nest(level, offset))
             raise UnknownSymbolError(text, offset)
         if kind == "LPAREN":
             self.advance()
-            node = self.parse_expr()
+            node = self.parse_expr(self.nest(level, offset))
             self.expect("RPAREN", "')'")
             return node
         raise ExprSyntaxError(
@@ -399,30 +420,37 @@ class _Parser:
             offset,
         )
 
-    def parse_min_max(self, name: str, offset: int) -> Expression:
+    @staticmethod
+    def nest(level: int, offset: int) -> int:
+        if level >= MAX_NESTING:
+            raise ExprSyntaxError(f"parentheses and min/max calls nest deeper than {MAX_NESTING} levels", offset)
+        return level + 1
+
+    def parse_min_max(self, name: str, offset: int, level: int) -> tuple[Expression, int]:
         self.expect("LPAREN", "'(' after " + repr(name))
-        first = self.parse_expr()
+        first = self.parse_expr(level)
         tok = self.peek()
         if tok[0] == "RPAREN":
             raise ArityError(f"{name} expects 2 arguments, got 1", tok[2])
         self.expect("COMMA", "','")
-        second = self.parse_expr()
+        second = self.parse_expr(level)
         tok = self.peek()
         if tok[0] == "COMMA":
             raise ArityError(f"{name} expects 2 arguments, got more", tok[2])
         self.expect("RPAREN", "')'")
-        fn = Function.MIN if name == "min" else Function.MAX
-        return Expression.call(fn, first, second)
+        return self.call(Function.MIN if name == "min" else Function.MAX, first, second, offset)
 
 
 def parse(text: str) -> Expression:
     """Parse rule text into an expression tree.
 
     Raises ExprSyntaxError / UnknownSymbolError / ArityError with the byte
-    offset of the offending token.
+    offset of the offending token.  Parentheses and min/max calls may nest
+    at most MAX_NESTING deep, and the tree may be at most MAX_NESTING deep;
+    deeper text is an ExprSyntaxError, not a RecursionError.
     """
     parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr(0)
     tok = parser.peek()
     if tok[0] != "END":
         raise ExprSyntaxError(f"unexpected trailing input {tok[1]!r}", tok[2])

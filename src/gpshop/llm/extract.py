@@ -1,9 +1,11 @@
 """Turning raw model replies into validated rule pairs.
 
-A candidate is any fenced code block containing a routing: or sequencing:
-line.  Candidates either parse into a RulePair within the depth cap or are
-rejected with a cause; they are never repaired.  Free text after an
-INSIGHTS: line (outside the fences) is captured for audit and reuse.
+A candidate is any fenced code block with a routing or sequencing line,
+as ``rules.read_rules`` defines one.  Candidates either read as one block
+of rule lines into a RulePair within the depth cap or are rejected with a
+cause; they are never repaired, so a prose line inside one rejects it.
+Free text after an INSIGHTS: line (outside the fences) is captured for
+audit and reuse.
 """
 from __future__ import annotations
 
@@ -11,10 +13,9 @@ import re
 from dataclasses import dataclass, field
 
 from ..errors import DataError
-from ..rules import RulePair, check_depth, rules_from_text
+from ..rules import RulePair, check_depth, has_rule_line, rules_from_text
 
 _FENCE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
-_RULE_LINE = re.compile(r"(?mi)^\s*(routing|sequencing)\s*:")
 _INSIGHTS = re.compile(r"(?m)^INSIGHTS:\s*")
 
 
@@ -42,7 +43,7 @@ def extract_heuristics(reply: str) -> ExtractionResult:
     """Scan a reply for fenced rule pairs; never raises on bad candidates."""
     result = ExtractionResult(raw=reply)
     for block in _FENCE.findall(reply):
-        if not _RULE_LINE.search(block):
+        if not has_rule_line(block):
             continue  # fenced prose, not a candidate
         snippet = block.strip()
         try:

@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass
 
 from ..errors import ConfigError
-from ..expr import Terminal, parse
+from ..expr import Terminal, format_expr, parse
 from ..rules import RulePair, rules_to_text
 from ..sim.config import OBJECTIVE_KEYS, Scenario
 
@@ -44,10 +44,9 @@ class ReferenceHeuristic:
 
     @classmethod
     def from_pair(cls, pair: RulePair, label: str = "", fitness_note: str = "") -> "ReferenceHeuristic":
-        lines = rules_to_text(pair).splitlines()
         return cls(
-            routing=lines[0].removeprefix("routing:").strip(),
-            sequencing=lines[1].removeprefix("sequencing:").strip(),
+            routing=format_expr(pair.routing),
+            sequencing=format_expr(pair.sequencing),
             label=label,
             fitness_note=fitness_note,
         )

@@ -22,7 +22,7 @@ from .fileio import write_text_atomic
 from .gp import EvolutionLog, GenerationStats, GPParams, SeedRejection
 from .llm.prompts import ReferenceHeuristic
 from .llm.provider import ProviderConfig
-from .rules import RulePair, rules_from_text, rules_to_text
+from .rules import REFERENCE_KEYS, RULE_KEYS, RulePair, read_rules, rules_to_text
 from .sim.config import Scenario, SimConfig, config_from_mapping
 
 __all__ = [
@@ -262,84 +262,46 @@ def read_run_record(path: str) -> RunRecordFile:
 # ---------------------------------------------------------------------------
 # rule-pair files (seeds, references)
 
-_PAIR_KEYS = ("routing", "sequencing")
-_REF_KEYS = _PAIR_KEYS + ("label", "note")
-
-
-def _iter_blocks(path: str) -> list[list[tuple[int, str]]]:
-    """Blank-line-separated blocks of non-comment lines, with line numbers."""
+def _read_blocks(path: str, keys: tuple[str, ...]) -> list[tuple[RulePair, dict[str, str]]]:
+    """``read_rules`` on each blank-line-separated block of non-``#`` lines."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    blocks: list[list[tuple[int, str]]] = []
-    current: list[tuple[int, str]] = []
-    for no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            if current:
-                blocks.append(current)
-                current = []
-            continue
-        if stripped.startswith("#"):
-            continue
-        current.append((no, stripped))
-    if current:
-        blocks.append(current)
+    blocks = []
+    block: list[tuple[int, str]] = []
+    for no, line in enumerate(lines + [""], start=1):
+        if not line.strip():
+            if block:
+                blocks.append(read_rules(block, keys, path))
+                block = []
+        elif not line.strip().startswith("#"):
+            block.append((no, line))
     return blocks
-
-
-def _block_fields(path: str, block: list[tuple[int, str]], allowed: tuple[str, ...]) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for no, line in block:
-        key, sep, value = line.partition(":")
-        key = key.strip().lower()
-        if not sep or key not in allowed:
-            raise DataError(f"{path}:{no}: expected one of {allowed}, got {line!r}")
-        if key in out:
-            raise DataError(f"{path}:{no}: duplicate {key!r} line in block")
-        out[key] = value.strip()
-    for required in _PAIR_KEYS:
-        if required not in out:
-            raise DataError(f"{path}:{block[0][0]}: block is missing a {required!r} line")
-    return out
 
 
 def load_rule_pairs(path: str) -> list[RulePair]:
     """Read a seeds file: two-line routing/sequencing blocks."""
-    pairs = []
-    blocks = _iter_blocks(path)
-    if not blocks:
+    pairs = [pair for pair, _ in _read_blocks(path, RULE_KEYS)]
+    if not pairs:
         raise DataError(f"{path}: no rule pairs found")
-    for block in blocks:
-        spec = _block_fields(path, block, _PAIR_KEYS)
-        try:
-            pairs.append(rules_from_text(f"routing: {spec['routing']}\nsequencing: {spec['sequencing']}"))
-        except DataError as exc:
-            raise DataError(f"{path}:{block[0][0]}: {exc}") from exc
     return pairs
 
 
 def load_references(path: str) -> list[ReferenceHeuristic]:
     """Read a references file; blocks may also carry label: and note: lines."""
-    refs = []
-    blocks = _iter_blocks(path)
-    if not blocks:
+    refs = [
+        ReferenceHeuristic(
+            routing=fields["routing"],
+            sequencing=fields["sequencing"],
+            label=fields.get("label", ""),
+            fitness_note=fields.get("note", ""),
+        )
+        for _, fields in _read_blocks(path, REFERENCE_KEYS)
+    ]
+    if not refs:
         raise DataError(f"{path}: no reference heuristics found")
-    for block in blocks:
-        spec = _block_fields(path, block, _REF_KEYS)
-        try:
-            refs.append(
-                ReferenceHeuristic(
-                    routing=spec["routing"],
-                    sequencing=spec["sequencing"],
-                    label=spec.get("label", ""),
-                    fitness_note=spec.get("note", ""),
-                )
-            )
-        except Exception as exc:  # parse errors from the grammar
-            raise DataError(f"{path}:{block[0][0]}: {exc}") from exc
     return refs
 
 

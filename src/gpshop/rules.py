@@ -11,13 +11,21 @@ from dataclasses import dataclass
 from .errors import DataError
 from .expr import MAX_DEPTH, Expression, ExprError, depth, format_expr, parse
 
-__all__ = ["RulePair", "check_depth", "rules_to_text", "rules_from_text", "REFERENCE_ROUTING", "REFERENCE_SEQUENCING"]
+__all__ = [
+    "RulePair", "check_depth", "rules_to_text", "rules_from_text", "read_rules", "has_rule_line",
+    "RULE_KEYS", "REFERENCE_KEYS", "REFERENCE_ROUTING", "REFERENCE_SEQUENCING",
+]
 
 # Baseline heuristics used as the normalization reference everywhere:
 # route to the machine with the least waiting work, then shortest
 # processing time first.
 REFERENCE_ROUTING = "WIQ"
 REFERENCE_SEQUENCING = "PT"
+
+# Keys of a block of rule lines: a seeds file or an LLM reply block holds
+# the two rules; a references file may also label and annotate them.
+RULE_KEYS = ("routing", "sequencing")
+REFERENCE_KEYS = RULE_KEYS + ("label", "note")
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,32 +54,54 @@ def rules_to_text(pair: RulePair) -> str:
     return f"routing: {format_expr(pair.routing)}\nsequencing: {format_expr(pair.sequencing)}\n"
 
 
-def rules_from_text(text: str) -> RulePair:
-    """Parse the two-line format; raises DataError on any defect, a repeated line included."""
-    routing_src: str | None = None
-    sequencing_src: str | None = None
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+def _split(line: str) -> tuple[str, str]:
+    """``key: value`` at the first colon, key lower-cased; a line without a colon has key ''."""
+    key, sep, value = line.partition(":")
+    return key.strip().lower() if sep else "", value.strip()
+
+
+def has_rule_line(text: str) -> bool:
+    """Whether some line of ``text`` has a routing or sequencing key."""
+    return any(_split(line)[0] in RULE_KEYS for line in text.splitlines())
+
+
+def read_rules(lines: list[tuple[int, str]], keys: tuple[str, ...] = RULE_KEYS, path: str = "") -> tuple[RulePair, dict[str, str]]:
+    """Read one block of numbered rule lines: the only reader of rule text.
+
+    Blank and ``#`` lines are skipped; every other line is ``key: value``
+    with a key from ``keys``, at most once.  Both rules must be given and
+    parse.  Returns the pair and each key's value.  Raises DataError: a bad
+    line is named ``path:N`` (``line N`` without a path); a missing or
+    unparsable rule is prefixed with the block's first ``path:N`` (nothing
+    without a path).
+    """
+    fields: dict[str, str] = {}
+    block = ""
+    for no, line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
             continue
-        lowered = stripped.lower()
-        if lowered.startswith("routing:"):
-            if routing_src is not None:
-                raise DataError("rule text has more than one 'routing:' line")
-            routing_src = stripped[len("routing:"):].strip()
-        elif lowered.startswith("sequencing:"):
-            if sequencing_src is not None:
-                raise DataError("rule text has more than one 'sequencing:' line")
-            sequencing_src = stripped[len("sequencing:"):].strip()
-    if routing_src is None or sequencing_src is None:
-        missing = "routing" if routing_src is None else "sequencing"
-        raise DataError(f"rule text is missing a '{missing}:' line")
-    try:
-        routing = parse(routing_src)
-    except ExprError as exc:
-        raise DataError(f"routing rule: {exc}") from exc
-    try:
-        sequencing = parse(sequencing_src)
-    except ExprError as exc:
-        raise DataError(f"sequencing rule: {exc}") from exc
-    return RulePair(routing=routing, sequencing=sequencing)
+        if not fields and path:
+            block = f"{path}:{no}: "
+        key, value = _split(line)
+        where = f"{path}:{no}" if path else f"line {no}"
+        if key not in keys:
+            raise DataError(f"{where}: expected one of {keys}, got {line!r}")
+        if key in fields:
+            raise DataError(f"{where}: duplicate {key!r} line")
+        fields[key] = value
+    for key in RULE_KEYS:
+        if key not in fields:
+            raise DataError(f"{block}block is missing a {key!r} line")
+    rules = []
+    for key in RULE_KEYS:
+        try:
+            rules.append(parse(fields[key]))
+        except ExprError as exc:
+            raise DataError(f"{block}{key} rule: {exc}") from exc
+    return RulePair(*rules), fields
+
+
+def rules_from_text(text: str) -> RulePair:
+    """Read ``text`` as one block of rule lines (see ``read_rules``)."""
+    return read_rules(list(enumerate(text.splitlines(), start=1)))[0]

@@ -187,12 +187,15 @@ def _check_magnitudes(release, due, weight, proc_times, travel) -> None:
         )
 
 
+@np.errstate(over="ignore")
 def _timing_columns(rates, release, op_start, workload, cand_start, machines, due_date_factor):
     """Processing times (workload / machine rate), medians and due dates, as float arrays.
 
     A median is the middle time, or (a + b) / 2 of the middle two, as
     ``statistics.median`` gives.  A due date is ``release +
-    due_date_factor *`` the job's medians summed in operation order.
+    due_date_factor *`` the job's medians summed in operation order.  A
+    value past the double range is inf, without a warning; callers reject
+    it (``_check_magnitudes``, or a mismatch with the file's value).
     """
     rates, release, workload = (np.asarray(c, dtype=float) for c in (rates, release, workload))
     op_start, cand_start, machines = (np.asarray(c) for c in (op_start, cand_start, machines))

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -157,6 +158,17 @@ class TestGenInstance:
         assert "weighted objectives could overflow" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_due_dates_exit_2(self, ws, capsys):
+        """A due date factor of 1e308 times the total median is past the double range."""
+        config = ws / "late-due.yaml"
+        config.write_text(TINY_YAML.replace("sim:\n", "sim:\n  due_date_factor: 1.0e+308\n"))
+        out = ws / "late-due.jsonl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["gen-instance", "--config", str(config), "--out", str(out)]) == 2
+        assert "due date inf is outside" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_weight_beyond_doubles_exit_2(self, ws, capsys):
         """An integer weight of 10**400 passes the config checks but has no double."""
         config = ws / "huge-weight.yaml"
@@ -203,6 +215,18 @@ class TestSimulate:
         assert main(["simulate", "--rules", str(bad), "--instance", str(inst_path)]) == 4
         err = capsys.readouterr().err
         assert "bad-rules.txt:1" in err and "offset" in err
+
+    @pytest.mark.parametrize(
+        "rule",
+        ["(" * 2000 + "PT" + ")" * 2000, "min(" * 400 + "PT" + ", PT)" * 400, " + ".join(["PT"] * 3000)],
+        ids=["parens", "min-calls", "flat-chain"],
+    )
+    def test_too_deeply_nested_rules_exit_4(self, ws, golden_files, capsys, rule):
+        inst_path, _ = golden_files
+        deep = ws / "deep-rules.txt"
+        deep.write_text(f"routing: {rule}\nsequencing: PT\n")
+        assert main(["simulate", "--rules", str(deep), "--instance", str(inst_path)]) == 4
+        assert "deep-rules.txt:1: routing rule: " in capsys.readouterr().err
 
     def test_multiple_pairs_rejected(self, ws, golden_files):
         inst_path, _ = golden_files
@@ -373,6 +397,19 @@ class TestEvolve:
         rec = read_run_record(str(out / "run-0.jsonl"))
         assert rec.meta["seed_rejections"] == [{"index": 1, "cause": "max depth exceeded (9 > 8)"}]
         assert (out / "run-0.best.txt").exists()
+
+    def test_too_deeply_nested_seed_exit_4(self, ws, capsys):
+        """Text past the parser's nesting bound is a malformed file, not a rejected seed."""
+        seeds = ws / "seeds-nested.txt"
+        seeds.write_text("routing: WIQ\nsequencing: PT\n\nrouting: PT\nsequencing: " + "(" * 2000 + "PT" + ")" * 2000 + "\n")
+        out = ws / "runs-nested"
+        argv = [
+            "evolve", "--config", str(ws / "tiny.yaml"), "--init", "file",
+            "--seeds-file", str(seeds), "--seed", "1", "--out", str(out),
+        ]
+        assert main(argv) == 4
+        assert "seeds-nested.txt:4: sequencing rule: " in capsys.readouterr().err
+        assert not (out / "run-0.jsonl").exists()
 
     def test_init_llm_mock(self, ws):
         out = ws / "runs-llm"
@@ -719,10 +756,12 @@ class TestCompare:
             (-1, ("result", "best_routing"), "exp(PT)"),
             (-1, ("result", "best_routing"), _MISSING),
             (0, ("meta", "method"), 7),
+            (-1, ("result", "best_routing"), "(" * 2000 + "PT" + ")" * 2000),
         ],
         ids=[
             "test_fitness-text", "test_fitness-null", "gen0-overflow", "best_fitness-overflow",
             "run_seed-text", "best_routing-unparsable", "best_routing-missing", "method-int",
+            "best_routing-too-deep",
         ],
     )
     def test_malformed_value_exit_4(self, record_dir, capsys, line, keys, value):

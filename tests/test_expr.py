@@ -15,6 +15,7 @@ from gpshop.expr import (
     MAX_DEPTH,
     MAX_INSTANCE_VALUE,
     MAX_MAGNITUDE,
+    MAX_NESTING,
     Expression,
     ExprSyntaxError,
     Function,
@@ -129,6 +130,33 @@ def test_parse_unexpected_character():
     with pytest.raises(ExprSyntaxError) as exc:
         parse("PT ^ W")
     assert exc.value.offset == 3
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("(" * 2000 + "PT" + ")" * 2000, "parentheses and min/max calls nest deeper than 64 levels (at offset 64)"),
+        ("min(" * 400 + "PT" + ", PT)" * 400, "nest deeper than 64 levels (at offset 256)"),
+        (" + ".join(["PT"] * 3000), "expression deeper than 64 levels (at offset 318)"),
+        ("PT * " * 64 + "PT", "expression deeper than 64 levels"),
+        ("max(PT, " * 64 + "PT" + ")" * 64, "expression deeper than 64 levels"),
+    ],
+    ids=["parens", "min-calls", "flat-chain", "product-chain", "max-calls"],
+)
+def test_parse_rejects_text_deeper_than_the_nesting_bound(text, fragment):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(text)
+    assert fragment in str(exc.value)
+
+
+def test_parse_accepts_text_at_the_nesting_bound():
+    assert MAX_NESTING > MAX_DEPTH
+    assert parse("(" * MAX_NESTING + "PT" + ")" * MAX_NESTING) == Expression.leaf(Terminal.PT)
+    chain = parse(" + ".join(["PT"] * MAX_NESTING))
+    assert depth(chain) == MAX_NESTING
+    nested = parse("min(PT, " * (MAX_NESTING - 1) + "PT" + ")" * (MAX_NESTING - 1))
+    assert depth(nested) == MAX_NESTING
+    assert parse(format_expr(nested)) == nested
 
 
 # ------------------------------------------------------------- evaluation

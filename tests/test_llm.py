@@ -471,7 +471,7 @@ class TestExtraction:
         reply = "```\nrouting: WIQ\nrouting: PT\nsequencing: PT\n```\n"
         result = extract_heuristics(reply)
         assert result.accepted == []
-        assert result.rejected[0].cause == "rule text has more than one 'routing:' line"
+        assert result.rejected[0].cause == "line 2: duplicate 'routing' line"
 
     def test_many_well_formed_pairs(self):
         blocks = "\n".join(
