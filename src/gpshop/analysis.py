@@ -178,7 +178,6 @@ class RunRecord:
     scenario: str
     seed: int
     fitness: float
-    log_path: str = ""
 
 
 @dataclass(frozen=True)

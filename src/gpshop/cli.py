@@ -9,6 +9,7 @@ atomically.  Exit codes: 0 success, 2 config error, 3 provider error,
 from __future__ import annotations
 
 import argparse
+import functools
 import glob
 import os
 import sys
@@ -115,33 +116,27 @@ def _request_seeds(cfg: AppConfig, scenario: Scenario, args, path: str) -> Extra
     return extraction
 
 
-def _evolve_one_run(payload: dict) -> dict:
+def _evolve_one_run(run_index: int, run_seed: int, *, scenario: Scenario, sim: SimConfig, gp: GPParams,
+                    seed_pairs: list[RulePair] | None, master_seed: int, init_mode: str, outdir: str) -> dict:
     """Execute one GP run and persist its three output files.
 
-    Top-level so ProcessPoolExecutor can ship it to workers; everything
-    in the payload is picklable (dataclasses, rule pairs, strings, ints).
+    Top-level so ProcessPoolExecutor can ship a partial of it to workers;
+    every argument is picklable (dataclasses, rule pairs, strings, ints).
     """
-    scenario: Scenario = payload["scenario"]
-    sim: SimConfig = payload["sim"]
-    gp: GPParams = payload["gp"]
-    seed_pairs: list[RulePair] | None = payload["seed_pairs"]
-    run_index: int = payload["run_index"]
-    run_seed: int = payload["run_seed"]
-
     rng = np.random.default_rng(run_seed)
     evaluator = FitnessEvaluator(sim, scenario)
-    best, log = evolve(gp, scenario, sim, rng, seed_rules=seed_pairs, evaluator=evaluator)
+    best, log = evolve(gp, evaluator, rng, seed_rules=seed_pairs)
     test_fitness = evaluator.test_performance(best.genome)
 
     meta = build_run_meta(
-        method=payload["method"],
+        method=f"gp-{init_mode}",
         scenario=scenario,
         sim=sim,
         gp=gp,
         run_index=run_index,
         run_seed=run_seed,
-        master_seed=payload["master_seed"],
-        init_mode=payload["init_mode"],
+        master_seed=master_seed,
+        init_mode=init_mode,
         seed_pairs=seed_pairs or (),
         seed_rejections=log.seed_rejections,
     )
@@ -152,7 +147,6 @@ def _evolve_one_run(payload: dict) -> dict:
         "test_fitness": test_fitness,
         "evaluations": evaluator.evaluations,
     }
-    outdir = payload["outdir"]
     record_path = os.path.join(outdir, f"run-{run_index}.jsonl")
     write_run_record(record_path, meta, log, result)
     log.to_csv(os.path.join(outdir, f"run-{run_index}.log.csv"))
@@ -191,26 +185,16 @@ def cmd_evolve(args) -> int:
         seed_pairs = extraction.accepted
 
     run_seeds = _derive_run_seeds(args.seed, args.run_offset, args.runs)
-    payloads = [
-        {
-            "scenario": scenario,
-            "sim": cfg.sim,
-            "gp": cfg.gp,
-            "seed_pairs": seed_pairs,
-            "run_index": args.run_offset + i,
-            "run_seed": run_seed,
-            "master_seed": args.seed,
-            "init_mode": args.init,
-            "method": f"gp-{args.init}",
-            "outdir": args.out,
-        }
-        for i, run_seed in enumerate(run_seeds)
-    ]
+    run_one = functools.partial(
+        _evolve_one_run, scenario=scenario, sim=cfg.sim, gp=cfg.gp, seed_pairs=seed_pairs,
+        master_seed=args.seed, init_mode=args.init, outdir=args.out,
+    )
+    indices = range(args.run_offset, args.run_offset + args.runs)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            summaries = list(pool.map(_evolve_one_run, payloads))
+            summaries = list(pool.map(run_one, indices, run_seeds))
     else:
-        summaries = [_evolve_one_run(p) for p in payloads]
+        summaries = list(map(run_one, indices, run_seeds))
     for s in summaries:
         print(
             f"run {s['run_index']} (seed {s['run_seed']}): "

@@ -34,6 +34,7 @@ __all__ = [
     "Individual",
     "GenerationStats",
     "EvolutionLog",
+    "EvolutionState",
     "SeedRejection",
     "FitnessEvaluator",
     "DEGENERATE_FITNESS",
@@ -43,6 +44,8 @@ __all__ = [
     "crossover",
     "mutate",
     "phenotypic_diversity",
+    "start",
+    "step",
     "evolve",
 ]
 
@@ -389,55 +392,49 @@ def _breed(
 
 # ---------------------------------------------------------------- evolve
 
-def evolve(
-    params: GPParams,
-    scenario: Scenario,
-    config: SimConfig,
-    rng: np.random.Generator,
-    seed_rules: list[RulePair] | None = None,
-    evaluator: FitnessEvaluator | None = None,
-    on_generation=None,
-) -> tuple[Individual, EvolutionLog]:
-    """Run the generational loop; returns (best-ever individual, log).
+@dataclass
+class EvolutionState:
+    """A GP run between generations; together with the rng it is the whole run."""
 
-    Generation g evaluates on training seed g mod len(training_seeds).
-    generations = 0 evaluates the initial population only (empty log).
-    Because the instance rotates, the best-ever comparison is across
-    generations' training instances; the elite itself is re-evaluated
-    every generation.  ``on_generation(g, population)`` is called after
-    each evaluation, mainly so tests can audit populations.
-    """
+    population: list[Individual]
+    log: EvolutionLog
+    op_counts: dict[str, int]  # the operator events that bred the population
+    generation: int = 0  # generations evaluated so far
+    best: Individual | None = None  # best-ever; None before the first evaluation
+
+
+def start(params: GPParams, rng: np.random.Generator, seed_rules: list[RulePair] | None = None) -> EvolutionState:
+    """Generation 0, random or warm-started, not yet evaluated."""
     if seed_rules is None:
-        population = init_random(params, rng)
-        rejections: list[SeedRejection] = []
+        population, rejections = init_random(params, rng), []
     else:
         population, rejections = init_seeded(seed_rules, params, rng)
+    return EvolutionState(population, EvolutionLog(seed_rejections=rejections), {"init": params.population_size})
 
-    if evaluator is None:
-        evaluator = FitnessEvaluator(config, scenario)
-    log = EvolutionLog(seed_rejections=rejections)
-    train_seeds = scenario.training_seeds
 
-    if params.generations == 0:
-        evaluator.evaluate_population(population, train_seeds[0])
-        log.gen0_fitness = [ind.fitness for ind in population]
-        best = min(population, key=lambda ind: ind.fitness)
-        if on_generation is not None:
-            on_generation(0, population)
-        return Individual(genome=best.genome, fitness=best.fitness, origin=best.origin), log
+def step(state: EvolutionState, params: GPParams, evaluator: FitnessEvaluator, rng: np.random.Generator) -> None:
+    """Evaluate one generation, breeding it first unless it is generation 0.
 
-    best_ever: Individual | None = None
-    op_counts: dict[str, int] = {"init": params.population_size}
-    for g in range(params.generations):
-        seed = train_seeds[g % len(train_seeds)]
-        evaluator.evaluate_population(population, seed)
-        if g == 0:
-            log.gen0_fitness = [ind.fitness for ind in population]
-        gen_best = min(population, key=lambda ind: ind.fitness)
+    Generation g evaluates on training seed g mod len(training_seeds).
+    Because the instance rotates, the best-ever comparison is across
+    generations' training instances; the elite itself is re-evaluated
+    every generation.  A log row is appended only for g < generations,
+    so generations = 0 evaluates the initial population with an empty log.
+    """
+    g = state.generation
+    if g > 0:
+        state.population, state.op_counts = _breed(state.population, params, rng)
+    population = state.population
+    seeds = evaluator.scenario.training_seeds
+    evaluator.evaluate_population(population, seeds[g % len(seeds)])
+    if g == 0:
+        state.log.gen0_fitness = [ind.fitness for ind in population]
+    gen_best = min(population, key=lambda ind: ind.fitness)
+    if state.best is None or gen_best.fitness < state.best.fitness:
+        state.best = Individual(genome=gen_best.genome, fitness=gen_best.fitness, origin=gen_best.origin)
+    if g < params.generations:
         completed = [ind.fitness for ind in population if ind.fitness != DEGENERATE_FITNESS]
-        if best_ever is None or gen_best.fitness < best_ever.fitness:
-            best_ever = Individual(genome=gen_best.genome, fitness=gen_best.fitness, origin=gen_best.origin)
-        log.entries.append(
+        state.log.entries.append(
             GenerationStats(
                 generation=g,
                 best_fitness=gen_best.fitness,
@@ -445,12 +442,21 @@ def evolve(
                 diversity=phenotypic_diversity(population),
                 best_routing=format_expr(gen_best.genome.routing),
                 best_sequencing=format_expr(gen_best.genome.sequencing),
-                op_counts=dict(op_counts),
+                op_counts=dict(state.op_counts),
                 aborted=len(population) - len(completed),
             )
         )
-        if on_generation is not None:
-            on_generation(g, population)
-        if g < params.generations - 1:
-            population, op_counts = _breed(population, params, rng)
-    return best_ever, log
+    state.generation = g + 1
+
+
+def evolve(
+    params: GPParams,
+    evaluator: FitnessEvaluator,
+    rng: np.random.Generator,
+    seed_rules: list[RulePair] | None = None,
+) -> tuple[Individual, EvolutionLog]:
+    """Run ``start`` then max(generations, 1) ``step``s; returns (best-ever individual, log)."""
+    state = start(params, rng, seed_rules)
+    for _ in range(max(params.generations, 1)):
+        step(state, params, evaluator, rng)
+    return state.best, state.log

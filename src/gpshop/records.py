@@ -236,7 +236,6 @@ def read_run_record(path: str) -> RunRecordFile:
             scenario=scenario,
             seed=int(meta["run_seed"]),
             fitness=float(result["test_fitness"]),
-            log_path=path,
         )
         entries = [
             GenerationStats(

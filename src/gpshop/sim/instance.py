@@ -195,7 +195,7 @@ def _timing_columns(rates, release, op_start, workload, cand_start, machines, du
     ``statistics.median`` gives.  A due date is ``release +
     due_date_factor *`` the job's medians summed in operation order.  A
     value past the double range is inf, without a warning; callers reject
-    it (``_check_magnitudes``, or a mismatch with the file's value).
+    it (``_check_magnitudes``, or ``_check_instance`` naming the factor).
     """
     rates, release, workload = (np.asarray(c, dtype=float) for c in (rates, release, workload))
     op_start, cand_start, machines = (np.asarray(c) for c in (op_start, cand_start, machines))
@@ -412,6 +412,8 @@ def _check_instance(instance: Instance) -> None:
     o = _first_mismatch(instance.median, median)
     if o is not None:
         raise ValueError(f"{where(o)}: median {instance.median[o]} is not the processing times' median")
+    if not max(due) < math.inf:
+        raise ValueError(f"due_date_factor {config.due_date_factor!r} times a job's total median overflows its due date")
     j = _first_mismatch(instance.due, due)
     if j is not None:
         raise ValueError(f"job {j + 1}: due date is not release + due_date_factor * total median")

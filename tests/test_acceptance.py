@@ -46,6 +46,8 @@ from gpshop.gp import (
     evolve,
     init_seeded,
     phenotypic_diversity,
+    start,
+    step,
 )
 from gpshop.llm import provider as provider_mod
 from gpshop.llm.prompts import PreferenceWeights, build_explain_prompt, build_init_prompt
@@ -89,27 +91,23 @@ STRONG_SEED_PAIRS = [
 def reduced_runs():
     """Five reduced-scale GP runs, shared by criteria 4 and 6.
 
-    Each run also audits every evaluated individual's tree depths via the
-    generation callback, so criterion 6 gets its whole-evolution audit
-    for free.
+    Each run also audits every evaluated individual's tree depths after
+    each step, so criterion 6 gets its whole-evolution audit for free.
     """
     t0 = time.perf_counter()
     runs = []
     for gp_seed in range(1, 6):
         evaluator = FitnessEvaluator(REDUCED_SIM, REDUCED_SCENARIO)
         audit = {"individuals": 0, "too_deep": 0}
-
-        def on_generation(g, population, audit=audit):
-            for ind in population:
+        rng = np.random.default_rng(gp_seed)
+        state = start(REDUCED_PARAMS, rng)
+        for _ in range(REDUCED_PARAMS.generations):
+            step(state, REDUCED_PARAMS, evaluator, rng)
+            for ind in state.population:
                 audit["individuals"] += 1
                 if depth(ind.genome.routing) > MAX_DEPTH or depth(ind.genome.sequencing) > MAX_DEPTH:
                     audit["too_deep"] += 1
-
-        rng = np.random.default_rng(gp_seed)
-        best, log = evolve(
-            REDUCED_PARAMS, REDUCED_SCENARIO, REDUCED_SIM, rng,
-            evaluator=evaluator, on_generation=on_generation,
-        )
+        best, log = state.best, state.log
         runs.append(
             {
                 "gen0_best": min(log.gen0_fitness),
@@ -221,13 +219,9 @@ def test_criterion_05_warm_start_dominates_gen0():
     evaluator = FitnessEvaluator(REDUCED_SIM, REDUCED_SCENARIO)
     wins = 0
     for pair_seed in range(1, 11):
-        random_best, _ = evolve(
-            params0, REDUCED_SCENARIO, REDUCED_SIM, np.random.default_rng(pair_seed),
-            evaluator=evaluator,
-        )
+        random_best, _ = evolve(params0, evaluator, np.random.default_rng(pair_seed))
         seeded_best, _ = evolve(
-            params0, REDUCED_SCENARIO, REDUCED_SIM, np.random.default_rng(pair_seed),
-            seed_rules=list(STRONG_SEED_PAIRS), evaluator=evaluator,
+            params0, evaluator, np.random.default_rng(pair_seed), seed_rules=list(STRONG_SEED_PAIRS),
         )
         wins += seeded_best.fitness <= random_best.fitness
     elapsed = time.perf_counter() - t0

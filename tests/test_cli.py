@@ -307,6 +307,20 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "data error" in err and "bad-config.jsonl" in err and "utilization must lie in (0, 1)" in err
 
+    def test_overflowing_due_date_factor_exit_4(self, ws, golden_files, capsys):
+        _, rules_path = golden_files
+        dumped = ws / "dump-20.jsonl"
+        assert main(["gen-instance", "--jobs", "20", "--seed", "3", "--out", str(dumped)]) == 0
+        capsys.readouterr()
+        header, *jobs = dumped.read_text().splitlines(keepends=True)
+        data = json.loads(header)
+        data["config"]["due_date_factor"] = 1e308
+        bad = ws / "huge-factor.jsonl"
+        bad.write_text(json.dumps(data) + "\n" + "".join(jobs))
+        assert main(["simulate", "--rules", str(rules_path), "--instance", str(bad)]) == 4
+        err = capsys.readouterr().err
+        assert "data error" in err and "huge-factor.jsonl" in err and "due_date_factor 1e+308" in err
+
     @pytest.mark.parametrize("header", ["[1, 2]", '"x"'])
     def test_header_not_an_object_exit_4(self, ws, golden_files, capsys, header):
         inst_path, rules_path = golden_files

@@ -1,6 +1,7 @@
 """GP engine tests: initialization, operators, selection, evolution loop."""
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -21,6 +22,8 @@ from gpshop.gp import (
     init_seeded,
     mutate,
     phenotypic_diversity,
+    start,
+    step,
     tournament_select,
 )
 from gpshop.rules import RulePair
@@ -56,7 +59,8 @@ class StubEvaluator:
     evolve loop without simulating anything.
     """
 
-    def __init__(self):
+    def __init__(self, scenario: Scenario = SMALL_SCENARIO):
+        self.scenario = scenario
         self.seeds_seen: list[int] = []
 
     def evaluate_population(self, population, seed):
@@ -495,7 +499,7 @@ class TestFitnessEvaluator:
 class TestEvolve:
     def test_small_run_returns_best_and_log(self):
         rng = np.random.default_rng(11)
-        best, log = evolve(small_params(), SMALL_SCENARIO, SMALL_CONFIG, rng)
+        best, log = evolve(small_params(), FitnessEvaluator(SMALL_CONFIG, SMALL_SCENARIO), rng)
         assert best.fitness is not None
         assert len(log.entries) == 3
         assert len(log.gen0_fitness) == 12
@@ -511,60 +515,49 @@ class TestEvolve:
         runs = []
         for _ in range(2):
             rng = np.random.default_rng(12)
-            best, log = evolve(small_params(), SMALL_SCENARIO, SMALL_CONFIG, rng)
+            best, log = evolve(small_params(), FitnessEvaluator(SMALL_CONFIG, SMALL_SCENARIO), rng)
             runs.append((best.genome, best.fitness, [e.best_fitness for e in log.entries]))
         assert runs[0] == runs[1]
 
     def test_training_seed_rotation(self):
-        stub = StubEvaluator()
         rng = np.random.default_rng(13)
         scenario = Scenario(
             objectives=("Fmean",), lambdas=(1.0,), utilization=0.8,
             training_seeds=(7, 8), test_seeds=(9,),
         )
-        evolve(small_params(generations=5), scenario, SMALL_CONFIG, rng, evaluator=stub)
+        stub = StubEvaluator(scenario)
+        evolve(small_params(generations=5), stub, rng)
         assert stub.seeds_seen == [7, 8, 7, 8, 7]
 
     def test_elitism_keeps_best_monotone_on_fixed_seed(self):
         # With one training seed and a deterministic evaluator the elite
         # guarantees a non-increasing best-fitness curve.
-        stub = StubEvaluator()
         rng = np.random.default_rng(14)
         scenario = Scenario(
             objectives=("Fmean",), lambdas=(1.0,), utilization=0.8,
             training_seeds=(1,), test_seeds=(2,),
         )
-        _, log = evolve(
-            small_params(population_size=30, generations=12),
-            scenario, SMALL_CONFIG, rng, evaluator=stub,
-        )
+        _, log = evolve(small_params(population_size=30, generations=12), StubEvaluator(scenario), rng)
         bests = [e.best_fitness for e in log.entries]
         assert all(b2 <= b1 for b1, b2 in zip(bests, bests[1:]))
 
     def test_depth_cap_holds_every_generation(self):
         stub = StubEvaluator()
         rng = np.random.default_rng(15)
+        params = small_params(population_size=40, generations=8)
         audited: list[int] = []
-
-        def audit(gen, population):
-            for ind in population:
+        state = start(params, rng)
+        for _ in range(params.generations):
+            step(state, params, stub, rng)
+            for ind in state.population:
                 audited.append(max(depth(ind.genome.routing), depth(ind.genome.sequencing)))
-
-        evolve(
-            small_params(population_size=40, generations=8),
-            SMALL_SCENARIO, SMALL_CONFIG, rng,
-            evaluator=stub, on_generation=audit,
-        )
         assert len(audited) == 40 * 8
         assert max(audited) <= 8
 
     def test_operator_rates_roughly_hold(self):
         stub = StubEvaluator()
         rng = np.random.default_rng(16)
-        _, log = evolve(
-            small_params(population_size=300, generations=2),
-            SMALL_SCENARIO, SMALL_CONFIG, rng, evaluator=stub,
-        )
+        _, log = evolve(small_params(population_size=300, generations=2), stub, rng)
         counts = log.entries[1].op_counts
         events = sum(counts.values())
         assert abs(counts["crossover"] / events - 0.80) < 0.10
@@ -576,7 +569,7 @@ class TestEvolve:
 
     def test_zero_generations_evaluates_initial_population(self):
         rng = np.random.default_rng(17)
-        best, log = evolve(small_params(generations=0), SMALL_SCENARIO, SMALL_CONFIG, rng)
+        best, log = evolve(small_params(generations=0), FitnessEvaluator(SMALL_CONFIG, SMALL_SCENARIO), rng)
         assert log.entries == []
         assert len(log.gen0_fitness) == 12
         assert best.fitness == min(log.gen0_fitness)
@@ -587,31 +580,28 @@ class TestEvolve:
             RulePair.from_text("(WIQ + PT) + TRANT", "PT"),
             RulePair(routing=deep_tree(9), sequencing=parse("PT")),
         ]
-        captured: list[list[Individual]] = []
-
-        def grab(gen, population):
-            if gen == 0:
-                captured.append(list(population))
-
-        best, log = evolve(
-            small_params(generations=1), SMALL_SCENARIO, SMALL_CONFIG, rng,
-            seed_rules=seeds, on_generation=grab,
-        )
+        params = small_params(generations=1)
+        state = start(params, rng, seed_rules=seeds)
+        step(state, params, FitnessEvaluator(SMALL_CONFIG, SMALL_SCENARIO), rng)
+        log = state.log
         assert len(log.seed_rejections) == 1
         assert log.seed_rejections[0].index == 1
-        genomes = [ind.genome for ind in captured[0]]
+        genomes = [ind.genome for ind in state.population]
         assert seeds[0] in genomes
-        origins = [ind.origin for ind in captured[0]]
+        origins = [ind.origin for ind in state.population]
         assert origins.count("llm-seeded") == 1
 
     @pytest.mark.parametrize("every, aborted", [(3, 4), (1, 12)])
     def test_mean_fitness_skips_guard_aborts(self, every, aborted):
+        params = small_params()
+        rng = np.random.default_rng(5)
+        stub = AbortingStub(every)
         seen = []
-        _, log = evolve(
-            small_params(), SMALL_SCENARIO, SMALL_CONFIG, np.random.default_rng(5),
-            evaluator=AbortingStub(every),
-            on_generation=lambda g, pop: seen.append([ind.fitness for ind in pop]),
-        )
+        state = start(params, rng)
+        for _ in range(params.generations):
+            step(state, params, stub, rng)
+            seen.append([ind.fitness for ind in state.population])
+        log = state.log
         assert len(log.entries) == len(seen) == 3
         for entry, fitnesses in zip(log.entries, seen):
             assert entry.aborted == aborted
@@ -621,10 +611,34 @@ class TestEvolve:
             else:
                 assert entry.mean_fitness == DEGENERATE_FITNESS
 
+    def test_state_and_rng_are_the_whole_run(self):
+        # A run stopped after k generations and finished from a copy of
+        # (state, rng) with a fresh evaluator ends where the uninterrupted
+        # run ends: nothing else carries over from one step to the next.
+        config = SMALL_CONFIG.with_overrides(total_jobs=200, warmup_jobs=20)
+        scenario = Scenario(
+            objectives=("Fmean", "WTmean"), lambdas=(0.2, 0.8), utilization=0.85,
+            training_seeds=(1, 2), test_seeds=(3,),
+        )
+        params = small_params(generations=4)
+        whole = evolve(params, FitnessEvaluator(config, scenario), np.random.default_rng(21))
+
+        rng = np.random.default_rng(21)
+        evaluator = FitnessEvaluator(config, scenario)
+        state = start(params, rng)
+        for _ in range(2):
+            step(state, params, evaluator, rng)
+        state, rng = copy.deepcopy((state, rng))
+        evaluator = FitnessEvaluator(config, scenario)
+        for _ in range(2):
+            step(state, params, evaluator, rng)
+        assert (state.best, state.log) == whole
+        assert state.generation == 4
+
     def test_log_to_csv(self, tmp_path):
         stub = StubEvaluator()
         rng = np.random.default_rng(19)
-        _, log = evolve(small_params(), SMALL_SCENARIO, SMALL_CONFIG, rng, evaluator=stub)
+        _, log = evolve(small_params(), stub, rng)
         path = tmp_path / "log.csv"
         log.to_csv(str(path))
         lines = path.read_text().splitlines()

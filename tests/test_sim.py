@@ -499,7 +499,7 @@ _CORRUPTIONS = [
     ((0, 0), "machines", [0.0], "integers"),
     ("config", "machine_count", 3, "config: unknown key 'machine_count'"),
     # The factor times the total median overflows to inf, without a warning.
-    ("config", "due_date_factor", 1.0e308, "job 1: due date is not release + due_date_factor * total median"),
+    ("config", "due_date_factor", 1.0e308, "due_date_factor 1e+308 times a job's total median overflows its due date"),
 ]
 
 
