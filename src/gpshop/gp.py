@@ -415,11 +415,10 @@ def start(params: GPParams, rng: np.random.Generator, seed_rules: list[RulePair]
 def step(state: EvolutionState, params: GPParams, evaluator: FitnessEvaluator, rng: np.random.Generator) -> None:
     """Evaluate one generation, breeding it first unless it is generation 0.
 
-    Generation g evaluates on training seed g mod len(training_seeds).
-    Because the instance rotates, the best-ever comparison is across
-    generations' training instances; the elite itself is re-evaluated
-    every generation.  A log row is appended only for g < generations,
-    so generations = 0 evaluates the initial population with an empty log.
+    Generation g evaluates on training seed g mod len(training_seeds)
+    and appends one log row.  Because the instance rotates, the best-ever
+    comparison is across generations' training instances; the elite
+    itself is re-evaluated every generation.
     """
     g = state.generation
     if g > 0:
@@ -432,20 +431,19 @@ def step(state: EvolutionState, params: GPParams, evaluator: FitnessEvaluator, r
     gen_best = min(population, key=lambda ind: ind.fitness)
     if state.best is None or gen_best.fitness < state.best.fitness:
         state.best = Individual(genome=gen_best.genome, fitness=gen_best.fitness, origin=gen_best.origin)
-    if g < params.generations:
-        completed = [ind.fitness for ind in population if ind.fitness != DEGENERATE_FITNESS]
-        state.log.entries.append(
-            GenerationStats(
-                generation=g,
-                best_fitness=gen_best.fitness,
-                mean_fitness=sum(completed) / len(completed) if completed else DEGENERATE_FITNESS,
-                diversity=phenotypic_diversity(population),
-                best_routing=format_expr(gen_best.genome.routing),
-                best_sequencing=format_expr(gen_best.genome.sequencing),
-                op_counts=dict(state.op_counts),
-                aborted=len(population) - len(completed),
-            )
+    completed = [ind.fitness for ind in population if ind.fitness != DEGENERATE_FITNESS]
+    state.log.entries.append(
+        GenerationStats(
+            generation=g,
+            best_fitness=gen_best.fitness,
+            mean_fitness=sum(completed) / len(completed) if completed else DEGENERATE_FITNESS,
+            diversity=phenotypic_diversity(population),
+            best_routing=format_expr(gen_best.genome.routing),
+            best_sequencing=format_expr(gen_best.genome.sequencing),
+            op_counts=dict(state.op_counts),
+            aborted=len(population) - len(completed),
         )
+    )
     state.generation = g + 1
 
 
@@ -455,8 +453,12 @@ def evolve(
     rng: np.random.Generator,
     seed_rules: list[RulePair] | None = None,
 ) -> tuple[Individual, EvolutionLog]:
-    """Run ``start`` then max(generations, 1) ``step``s; returns (best-ever individual, log)."""
+    """Run ``start`` then max(generations, 1) ``step``s; returns (best-ever individual, log).
+
+    generations = 0 evaluates the initial population and logs no row.
+    """
     state = start(params, rng, seed_rules)
     for _ in range(max(params.generations, 1)):
         step(state, params, evaluator, rng)
+    del state.log.entries[params.generations:]
     return state.best, state.log

@@ -1,12 +1,27 @@
 """Shared fixtures: the hand-derived golden instance and small configs."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gpshop.rules import RulePair
 from gpshop.sim.config import SimConfig
 from gpshop.sim.instance import Instance
+
+
+def pytest_collection_modifyitems(items):
+    """Tests under this directory fail on a leaked file handle.
+
+    Set per item rather than in pyproject.toml, so that other files run
+    with pytest from the repository root keep the default filters.
+    """
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
+            item.add_marker(pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"))
 
 
 def instance_from_jobs(config: SimConfig, seed: int, rates, entry, distances, jobs) -> Instance:

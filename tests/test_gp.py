@@ -568,11 +568,16 @@ class TestEvolve:
         assert children in (299, 300)  # final crossover may spill one child
 
     def test_zero_generations_evaluates_initial_population(self):
-        rng = np.random.default_rng(17)
-        best, log = evolve(small_params(generations=0), FitnessEvaluator(SMALL_CONFIG, SMALL_SCENARIO), rng)
+        params, evaluator = small_params(generations=0), FitnessEvaluator(SMALL_CONFIG, SMALL_SCENARIO)
+        best, log = evolve(params, evaluator, np.random.default_rng(17))
         assert log.entries == []
         assert len(log.gen0_fitness) == 12
         assert best.fitness == min(log.gen0_fitness)
+        # A step is one generation and one log row, whatever the configured count.
+        rng = np.random.default_rng(17)
+        state = start(params, rng)
+        step(state, params, evaluator, rng)
+        assert [e.best_fitness for e in state.log.entries] == [best.fitness]
 
     def test_seeded_evolution_reports_rejections(self):
         rng = np.random.default_rng(18)
