@@ -105,7 +105,7 @@ def _request_seeds(cfg: AppConfig, scenario: Scenario, args, path: str) -> Extra
     provider = _provider_from_args(cfg, args).with_audit(path + ".audit.jsonl")
     references = load_references(args.references) if args.references else []
     prefs = PreferenceWeights.from_scenario(scenario)
-    n = args.n if args.n is not None else cfg.n_requested
+    n = args.n if args.n is not None else cfg.provider.n_requested
     prompt = build_init_prompt(scenario, references, prefs, n_requested=n)
     extraction = extract_heuristics(query(provider, prompt))
     comments = [f"accepted: {len(extraction.accepted)}", f"rejected: {len(extraction.rejected)}"]

@@ -187,7 +187,7 @@ def build_init_prompt(
     scenario: Scenario,
     references: list[ReferenceHeuristic],
     prefs: PreferenceWeights,
-    n_requested: int = 100,
+    n_requested: int,
 ) -> PromptSpec:
     """Prompt asking for a knowledge-rich starting population."""
     if n_requested < 1:

@@ -44,6 +44,9 @@ class ProviderConfig:
     the key itself is never stored or audited.  ``retry_budget`` counts
     retries after the first attempt, so budget 2 means at most 3 attempts.
     ``audit_path``, when set, receives one JSON line per attempt.
+    ``n_requested`` is how many pairs ``init-llm`` and ``evolve --init
+    llm`` ask for when ``--n`` is not given.  These defaults are the
+    config file's ``llm`` section when it leaves a key out.
     """
 
     endpoint: str = "https://api.openai.com/v1/chat/completions"
@@ -54,6 +57,7 @@ class ProviderConfig:
     timeout: float = 60.0
     retry_budget: int = 2
     audit_path: str | None = None
+    n_requested: int = 100
 
     def __post_init__(self):
         if self.retry_budget < 0:
@@ -64,6 +68,8 @@ class ProviderConfig:
             raise ConfigError("max_reply_tokens must be >= 1")
         if not self.endpoint:
             raise ConfigError("endpoint must be set")
+        if not isinstance(self.n_requested, int) or self.n_requested < 1:
+            raise ConfigError(f"n_requested must be a positive integer, got {self.n_requested!r}")
 
     @property
     def is_mock(self) -> bool:

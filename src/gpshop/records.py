@@ -1,11 +1,11 @@
 """Config files, run records, and rule-pair file formats.
 
 Everything the CLI persists or reloads lives here: the YAML experiment
-config (merged over packaged defaults), JSONL run records written one
-per GP run, and the plain-text rule-pair files used for seeds and
-reference heuristics.  All writes are atomic (temp file + rename) and
-all record content is deterministic: sorted keys, no timestamps, no
-filesystem paths.
+config (a user file over the packaged scenarios), JSONL run records
+written one per GP run, and the plain-text rule-pair files used for
+seeds and reference heuristics.  All writes are atomic (temp file +
+rename) and all record content is deterministic: sorted keys, no
+timestamps, no filesystem paths.
 """
 from __future__ import annotations
 
@@ -54,7 +54,6 @@ class AppConfig:
     scenarios: dict[str, Scenario]
     default_scenario: str
     provider: ProviderConfig
-    n_requested: int = 100
 
     def scenario(self, name: str | None) -> Scenario:
         key = name or self.default_scenario
@@ -69,13 +68,16 @@ def _default_config_text() -> str:
 
 
 def load_config(path: str | None = None) -> AppConfig:
-    """Load the experiment config, merging a user file over the defaults.
+    """Load the experiment config: the packaged scenarios plus a user file.
 
-    ``path`` None yields the packaged defaults.  A user file only needs
-    the keys it overrides; section contents merge key-by-key except
-    ``scenarios``, whose entries replace whole scenarios by name.
+    ``path`` None yields the defaults.  The ``sim``, ``gp`` and ``llm``
+    sections set fields of ``SimConfig``, ``GPParams`` and
+    ``ProviderConfig``; keys a user file leaves out keep those classes'
+    defaults.  The packaged file supplies the scenarios and the default
+    scenario; user ``scenarios`` entries replace or join them by name.
     """
-    data = yaml.safe_load(_default_config_text())
+    packaged = yaml.safe_load(_default_config_text())
+    user = {}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -88,40 +90,28 @@ def load_config(path: str | None = None) -> AppConfig:
             user = {}
         if not isinstance(user, Mapping):
             raise ConfigError(f"config {path} must be a mapping at top level")
-        for section, value in user.items():
+        for section in user:
             if section not in _CONFIG_SECTIONS:
                 raise ConfigError(f"config: unknown key {section!r}")
-            if section == "default_scenario":
-                data[section] = value
-            else:
-                if not isinstance(value, Mapping):
-                    raise ConfigError(f"{section}: expected a mapping")
-                data[section].update(value)
 
-    llm = dict(data["llm"])
-    n_requested = llm.pop("n_requested", 100)
-    provider = config_from_mapping(ProviderConfig, "llm", llm)
-    if not isinstance(n_requested, int) or n_requested < 1:
-        raise ConfigError(f"llm: n_requested must be a positive integer, got {n_requested!r}")
-
-    scenarios_raw = data["scenarios"]
-    if not scenarios_raw:
-        raise ConfigError("scenarios: at least one scenario is required")
+    provider = config_from_mapping(ProviderConfig, "llm", user.get("llm", {}))
+    user_scenarios = user.get("scenarios", {})
+    if not isinstance(user_scenarios, Mapping):
+        raise ConfigError("scenarios: expected a mapping")
     scenarios = {
         name: config_from_mapping(Scenario, f"scenarios.{name}", spec, name=name)
-        for name, spec in scenarios_raw.items()
+        for name, spec in {**packaged["scenarios"], **user_scenarios}.items()
     }
-    default_name = data["default_scenario"]
+    default_name = user.get("default_scenario", packaged["default_scenario"])
     if default_name not in scenarios:
         raise ConfigError(f"default_scenario {default_name!r} is not a configured scenario")
 
     return AppConfig(
-        sim=config_from_mapping(SimConfig, "sim", data["sim"]),
-        gp=config_from_mapping(GPParams, "gp", data["gp"]),
+        sim=config_from_mapping(SimConfig, "sim", user.get("sim", {})),
+        gp=config_from_mapping(GPParams, "gp", user.get("gp", {})),
         scenarios=scenarios,
         default_scenario=default_name,
         provider=provider,
-        n_requested=n_requested,
     )
 
 

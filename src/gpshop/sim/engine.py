@@ -404,7 +404,9 @@ def validate_trace(trace: list[tuple], instance: Instance) -> list[str]:
     Verified: every operation starts and completes exactly once on an
     eligible machine, durations match the machine's processing time,
     operations of a job run in order with transport respected, and no
-    machine overlaps two operations.  An empty list means a clean trace.
+    machine overlaps two operations.  Every event must be a ``start`` or
+    ``complete`` of an operation the instance has.  An empty list means a
+    clean trace.
     """
     eps = 1e-9
     problems: list[str] = []
@@ -412,10 +414,13 @@ def validate_trace(trace: list[tuple], instance: Instance) -> list[str]:
 
     starts: dict[tuple[int, int], tuple[float, int]] = {}
     completes: dict[tuple[int, int], tuple[float, int]] = {}
+    buckets = {"start": starts, "complete": completes}
     for time, mch, job_id, op_idx, kind in trace:
         key = (job_id, op_idx)
-        bucket = starts if kind == "start" else completes
-        if key in bucket:
+        bucket = buckets.get(kind)
+        if bucket is None:
+            problems.append(f"job {job_id} op {op_idx}: unknown event kind {kind!r} at {time}")
+        elif key in bucket:
             problems.append(f"job {job_id} op {op_idx}: duplicate {kind}")
         else:
             bucket[key] = (time, mch)
@@ -429,11 +434,12 @@ def validate_trace(trace: list[tuple], instance: Instance) -> list[str]:
             machines = instance.machines[cand_start[o]:cand_start[o + 1]]
             times = instance.proc_times[cand_start[o]:cand_start[o + 1]]
             key = (job_id, op_idx)
-            if key not in starts or key not in completes:
+            start, complete = starts.pop(key, None), completes.pop(key, None)
+            if start is None or complete is None:
                 problems.append(f"job {job_id} op {op_idx}: missing start or complete")
                 continue
-            s_time, s_mch = starts[key]
-            c_time, c_mch = completes[key]
+            s_time, s_mch = start
+            c_time, c_mch = complete
             if s_mch != c_mch:
                 problems.append(f"job {job_id} op {op_idx}: started on {s_mch}, completed on {c_mch}")
             if s_mch not in machines:
@@ -458,6 +464,11 @@ def validate_trace(trace: list[tuple], instance: Instance) -> list[str]:
             prev_complete = c_time
             prev_machine = s_mch
             machine_intervals.setdefault(s_mch, []).append((s_time, c_time, job_id, op_idx))
+
+    # The loop above took every operation's events; what is left names none.
+    for kind, bucket in buckets.items():
+        for (job_id, op_idx), (time, _) in bucket.items():
+            problems.append(f"job {job_id} op {op_idx}: {kind} at {time} names no operation of the instance")
 
     for mch, intervals in machine_intervals.items():
         intervals.sort()

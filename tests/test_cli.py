@@ -441,6 +441,22 @@ class TestEvolve:
         audit = (out / "llm-seeds.txt.audit.jsonl").read_text().splitlines()
         assert json.loads(audit[0])["status"] == "ok"
 
+    def test_init_llm_without_usable_pairs_runs_random(self, ws, tmp_path, capsys):
+        cfg = load_config(str(ws / "tiny.yaml"))
+        scenario = cfg.scenario(None)
+        prompt = build_init_prompt(scenario, [], PreferenceWeights.from_scenario(scenario), n_requested=3)
+        mock = tmp_path / "mock"
+        mock.mkdir()
+        (mock / f"{prompt.digest}.txt").write_text("```\nrouting: exp(PT)\nsequencing: PT\n```\n")
+        out = tmp_path / "runs"
+        argv = [
+            "evolve", "--config", str(ws / "tiny.yaml"), "--init", "llm",
+            "--provider", f"mock:{mock}", "--seed", "5", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        assert "warning: no usable pairs in the reply" in capsys.readouterr().err
+        assert read_run_record(str(out / "run-0.jsonl")).meta["seed_genomes"] == []
+
     def test_gen0_is_exactly_the_canned_genomes(self, ws):
         out = ws / "runs-llm0"
         argv = [
@@ -479,6 +495,16 @@ class TestEvolve:
         assert main(base + ["--init", "file"]) == 2
         assert main(base + ["--scenario", "ghost"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [("sim: 3\n", "sim: expected a mapping"), ("scenarios: [1]\n", "scenarios: expected a mapping")],
+    )
+    def test_config_section_not_a_mapping_exit_2(self, tmp_path, capsys, text, fragment):
+        config = tmp_path / "bad.yaml"
+        config.write_text(text)
+        assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
+        assert f"config error: {fragment}" in capsys.readouterr().err
 
     def test_negative_run_offset_exit_2(self, ws, tmp_path, capsys):
         out = tmp_path / "r"
@@ -603,6 +629,18 @@ class TestExplain:
         ]
         assert main(argv) == 4
         assert "max depth exceeded (9 > 8)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_two_pairs_exit_4(self, ws, best_file, tmp_path, capsys):
+        two = tmp_path / "two-best.txt"
+        two.write_text(best_file.read_text() + "\nrouting: WIQ\nsequencing: PT\n")
+        out = tmp_path / "report.md"
+        argv = [
+            "explain", "--config", str(ws / "tiny.yaml"), "--best", str(two),
+            "--provider", f"mock:{ws / 'mock'}", "--out", str(out),
+        ]
+        assert main(argv) == 4
+        assert "two-best.txt: expected exactly one rule pair, found 2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_degraded_report_exit_3(self, ws, best_file, tmp_path, capsys):
@@ -736,6 +774,16 @@ class TestCompare:
         assert main(argv) == 4
         err = capsys.readouterr().err
         assert f"new-s1-1.jsonl:{line + 1}: line is not a JSON object" in err
+
+    def test_unrecognized_line_exit_4(self, record_dir, capsys):
+        path = record_dir / "new-s1-1.jsonl"
+        path.write_text(path.read_text() + '{"x": 1}\n')
+        argv = [
+            "compare", "--records", str(record_dir / "*.jsonl"),
+            "--baseline", "base", "--out", str(record_dir / "cmp"),
+        ]
+        assert main(argv) == 4
+        assert "new-s1-1.jsonl: unrecognized record line {'x': 1}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "line, key, value, fragment",

@@ -9,6 +9,7 @@ import pytest
 
 from gpshop.errors import ConfigError, DataError
 from gpshop.gp import EvolutionLog, GenerationStats, GPParams, SeedRejection
+from gpshop.llm.provider import ProviderConfig
 from gpshop.records import (
     build_run_meta,
     dump_rule_pairs,
@@ -34,7 +35,8 @@ class TestLoadConfig:
         assert cfg.scenarios["fmean-wtmean-085"].lambdas == (0.2, 0.8)
         assert cfg.scenarios["tmax-095"].utilization == 0.95
         assert cfg.provider.credential_env == "LLM_API_KEY"
-        assert cfg.n_requested == 100
+        assert cfg.provider.n_requested == 100
+        assert cfg.provider == ProviderConfig()
 
     def test_scenario_lookup(self):
         cfg = load_config()

@@ -651,18 +651,42 @@ class TestEngineBehaviour:
         # A sane routing rule stays far below the same guard.
         run_simulation(RulePair.from_text("WIQ", "PT"), inst, max_queue=40)
 
-    def test_validate_trace_flags_corruption(self, golden_instance):
+    @pytest.mark.parametrize(
+        "corrupt, fragment",
+        [
+            (lambda t: _edit(t, 0, time=5.0), "job 1 op 0: starts at 5.0 before reachable time 10.0"),
+            (lambda t: t[:1] + t[2:], "job 1 op 0: missing start or complete"),
+            (lambda t: t + t[:1], "job 1 op 0: duplicate start"),
+            (lambda t: _edit(t, 1, machine=1), "job 1 op 0: started on 0, completed on 1"),
+            (lambda t: _edit(_edit(t, 0, machine=1), 1, machine=1), "job 1 op 0: machine 1 not eligible"),
+            (lambda t: _edit(t, 1, time=45.0), "job 1 op 0: duration 35.0 != processing time 30.0"),
+            (lambda t: _edit(_edit(t, 4, time=55.0), 5, time=65.0), "job 2 op 0 [40.0, 60.0] overlaps job 3 op 0"),
+            (
+                lambda t: t + [(0.0, 0, 1, 7, "start"), (1.0, 0, 1, 7, "complete")],
+                "job 1 op 7: complete at 1.0 names no operation of the instance",
+            ),
+            (lambda t: t + [(0.0, 0, 99, 0, "start")], "job 99 op 0: start at 0.0 names no operation of the instance"),
+            (lambda t: _edit(t, 0, kind="started"), "job 1 op 0: unknown event kind 'started' at 10.0"),
+        ],
+        ids=[
+            "early-start", "missing", "duplicate", "machine-switch", "ineligible",
+            "duration", "overlap", "unknown-op", "unknown-job", "unknown-kind",
+        ],
+    )
+    def test_validate_trace_flags_corruption(self, golden_instance, corrupt, fragment):
+        """Each case corrupts the clean FIFO trace once and names the violation."""
         out = run_simulation(FIFO_RULES, golden_instance, record_trace=True)
-        trace = list(out.trace)
-        for i, row in enumerate(trace):
-            if row[4] == "start":
-                t, mch, job_id, op_idx, kind = row
-                trace[i] = (t - 5.0, mch, job_id, op_idx, kind)
-                break
-        assert validate_trace(trace, golden_instance)
-        dropped = [row for row in out.trace if row[4] == "complete"][1:]
-        starts_only = [row for row in out.trace if row[4] == "start"] + dropped
-        assert any("missing" in p for p in validate_trace(starts_only, golden_instance))
+        problems = validate_trace(corrupt(list(out.trace)), golden_instance)
+        assert any(fragment in p for p in problems), problems
+
+
+_TRACE_FIELDS = ("time", "machine", "job", "op", "kind")
+
+
+def _edit(trace: list[tuple], i: int, **changes) -> list[tuple]:
+    """``trace`` with the named fields of row ``i`` replaced."""
+    row = dict(zip(_TRACE_FIELDS, trace[i]), **changes)
+    return trace[:i] + [tuple(row[f] for f in _TRACE_FIELDS)] + trace[i + 1:]
 
 
 class TestConfigValidation:
