@@ -206,6 +206,8 @@ def cmd_evolve(args) -> int:
 def cmd_init_llm(args) -> int:
     cfg = load_config(args.config)
     scenario = cfg.scenario(args.scenario)
+    # The provider appends its audit log beside --out from the first call.
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     extraction = _request_seeds(cfg, scenario, args, args.out)
     print(
         f"accepted {len(extraction.accepted)} of {extraction.candidates} candidates -> {args.out}"

@@ -259,7 +259,9 @@ class FitnessEvaluator:
 
         Each seed is scored as ``fitness`` scores it, memo included, but
         is not counted in ``evaluations``; the scores are summed in seed
-        order and divided once.
+        order and divided once.  A seed whose simulation the queue guard
+        aborted adds DEGENERATE_FITNESS (1e12) to that mean, like any
+        aborted training simulation, so one such seed outweighs the rest.
         """
         total = 0.0
         for seed in self.scenario.test_seeds:

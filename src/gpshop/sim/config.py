@@ -22,14 +22,19 @@ def config_from_mapping(cls, section: str, mapping: Any, **fixed):
 
     ``fixed`` fields are set by the caller and may not appear in the
     mapping.  Raises ConfigError, prefixed with ``section``, if the value is
-    not a mapping, has a key that is not a field, or is rejected by ``cls``.
+    not a mapping, has a key that is not a field, gives a boolean to a
+    field annotated ``int`` (``bool`` is an ``int`` subclass, so ``cls``
+    would take YAML's ``true`` as 1), or is rejected by ``cls``.
     """
     if not isinstance(mapping, Mapping):
         raise ConfigError(f"{section}: expected a mapping")
     known = {f.name for f in fields(cls)} - fixed.keys()
-    for key in mapping:
+    ints = {f.name for f in fields(cls) if f.type in ("int", int)}
+    for key, value in mapping.items():
         if key not in known:
             raise ConfigError(f"{section}: unknown key {key!r}")
+        if key in ints and isinstance(value, bool):
+            raise ConfigError(f"{section}: {key} must be an integer, got {value!r}")
     try:
         return cls(**{k: _as_tuples(v) for k, v in mapping.items()}, **fixed)
     except (ConfigError, TypeError) as exc:

@@ -128,14 +128,17 @@ _READS_MACHINE = {*_MACHINE_TERMS, "TRANT"}
 _SEQUENCE_PER_OPERATION = {**_JOB_TERMS, "OWT": "OWT = t - ready_t"}
 _TERMINAL_NAMES = tuple(t.name for t in TERMINAL_ORDER)
 # The recording line, emitted after a candidate's bindings when contexts
-# are captured; the context's fields are positional in TERMINAL_ORDER.
+# are captured; the context's fields are positional in TERMINAL_ORDER.  A
+# routing decision has one job and operation, bound once before its
+# candidate loop; each queued operation names its own.
 _RECORD = (
-    "\n" + " " * 12 + '_record(("{kind}", t, j + 1, o - op_start[j], mch, _Context('
+    "\n" + " " * 12 + '_record(("{kind}", t, {ids}, mch, _Context('
     + ", ".join(_TERMINAL_NAMES) + ")))"
 )
+_RECORD_ROUTE_IDS = " " * 8 + "job_id = job_ids[j]\n" + " " * 8 + "op_index = o - op_start[j]"
 
 _CHOOSERS = """\
-def _bind(niq, wiq, mrt, release, due, weight, op_start, npt, wkr, machines, proc_times, _record):
+def _bind(niq, wiq, mrt, release, due, weight, op_start, npt, wkr, machines, proc_times, _record, job_ids):
     def choose_machine(j, o, t, a, b, row):
 {route_decision}
         best = _INF
@@ -173,7 +176,9 @@ def _bindings(statements: dict[str, str], reads: set[str], indent: str) -> str:
     return "\n".join(indent + stmt for name, stmt in statements.items() if name in reads)
 
 
-def compile_choosers(rules: RulePair, niq: list, wiq: list, mrt: list, instance: Instance, record=None):
+def compile_choosers(
+    rules: RulePair, niq: list, wiq: list, mrt: list, instance: Instance, record=None, job_ids=None
+):
     """Generate the simulator's two decision functions for one rule pair.
 
     ``choose_machine(j, o, t, a, b, row)`` scores the candidates
@@ -187,12 +192,14 @@ def compile_choosers(rules: RulePair, niq: list, wiq: list, mrt: list, instance:
     its candidate loop, and only the terminals it reads are computed (NIQ
     and NOR are ints, OWT is 0.0 when routing).  The functions read the
     live machine state ``niq``, ``wiq`` and ``mrt`` at call time, and the
-    job data from ``instance``'s columns.  Given ``record``, every
-    terminal is computed and each candidate is passed to it before it is
-    scored, as (kind, time, job_id, op_index, machine, DecisionContext)
-    with kind "route" or "sequence"; the decisions themselves are the
-    same.  The compiled factory is kept per (rule pair, recording), so a
-    pair met again, on another seed or instance, is only rebound.
+    job data from ``instance``'s columns.  Given ``record`` and
+    ``job_ids``, every terminal is computed and each candidate is passed
+    to ``record`` before it is scored, as (kind, time, job_id, op_index,
+    machine, DecisionContext) with kind "route" or "sequence" and job j's
+    id read from ``job_ids[j]``, so a caller can share one int per job;
+    the decisions themselves are the same.  The compiled factory is kept
+    per (rule pair, recording), so a pair met again, on another seed or
+    instance, is only rebound.
 
     Raises DataError for a rule deeper than ``MAX_DEPTH``: the depth cap
     and the instance value bound are what keep every score finite (see
@@ -200,7 +207,7 @@ def compile_choosers(rules: RulePair, niq: list, wiq: list, mrt: list, instance:
     """
     return _compiled_bind(rules, record is not None)(
         niq, wiq, mrt, instance.release, instance.due, instance.weight, instance.op_start,
-        instance.npt, instance.wkr, instance.machines, instance.proc_times, record,
+        instance.npt, instance.wkr, instance.machines, instance.proc_times, record, job_ids,
     )
 
 
@@ -216,12 +223,14 @@ def _compiled_bind(rules: RulePair, recording: bool):
     route_machine = _bindings(_ROUTE_PER_MACHINE, route_reads, " " * 12)
     if route_reads & _READS_MACHINE:
         route_machine = " " * 12 + "mch = machines[i]\n" + route_machine
+    route_decision = _bindings(_ROUTE_PER_DECISION, route_reads, " " * 8)
     sequence_operation = _bindings(_SEQUENCE_PER_OPERATION, sequence_reads, " " * 12)
     if recording:
-        route_machine += _RECORD.format(kind="route")
-        sequence_operation += _RECORD.format(kind="sequence")
+        route_decision += "\n" + _RECORD_ROUTE_IDS
+        route_machine += _RECORD.format(kind="route", ids="job_id, op_index")
+        sequence_operation += _RECORD.format(kind="sequence", ids="job_ids[j], o - op_start[j]")
     src = _CHOOSERS.format(
-        route_decision=_bindings(_ROUTE_PER_DECISION, route_reads, " " * 8),
+        route_decision=route_decision,
         route_machine=route_machine,
         route_body=expression_source(rules.routing),
         sequence_decision=_bindings(_MACHINE_TERMS, sequence_reads, " " * 8),
@@ -295,6 +304,8 @@ def run_simulation(
     completion = [0.0] * n_jobs
     trace: list[tuple] | None = [] if record_trace else None
     contexts: list[tuple] | None = [] if capture_contexts else None
+    # One int per job id, shared by every event and context that names it.
+    job_ids = list(range(1, n_jobs + 1)) if record_trace or capture_contexts else None
 
     # Heap keys (time, sequence number) are unique.
     order = sorted(range(n_jobs), key=release.__getitem__)
@@ -307,7 +318,7 @@ def run_simulation(
     queue_limit = _INF if max_queue is None else max_queue
 
     record = None if contexts is None else contexts.append
-    choose_machine, choose_op = compile_choosers(rules, niq, wiq, mrt, instance, record)
+    choose_machine, choose_op = compile_choosers(rules, niq, wiq, mrt, instance, record, job_ids)
 
     while True:
         # Each pass handles one release or heap event, then routes job j's
@@ -328,7 +339,7 @@ def run_simulation(
             else:  # _COMPLETE: route the job's next operation, then dispatch mch
                 o = cur_op[j]
                 if trace is not None:
-                    trace.append((t, mch, j + 1, o - op_start[j], "complete"))
+                    trace.append((t, mch, job_ids[j], o - op_start[j], "complete"))
                 busy[mch] = False
                 mrt[mch] = t
                 loc[j] = mch
@@ -381,7 +392,7 @@ def run_simulation(
             heappush(heap, (t + pt, seq_counter, _COMPLETE, j, mch))
             seq_counter += 1
             if trace is not None:
-                trace.append((t, mch, j + 1, o - op_start[j], "start"))
+                trace.append((t, mch, job_ids[j], o - op_start[j], "start"))
 
     if n_done < n_jobs:
         raise SimulationStalled(f"only {n_done} of {n_jobs} jobs completed")
@@ -405,47 +416,66 @@ def validate_trace(trace: list[tuple], instance: Instance) -> list[str]:
     eligible machine, durations match the machine's processing time,
     operations of a job run in order with transport respected, and no
     machine overlaps two operations.  Every event must be a ``start`` or
-    ``complete`` of an operation the instance has.  An empty list means a
-    clean trace.
+    ``complete`` of an operation the instance has, named by an int job id
+    and an int operation index.  An empty list means a clean trace.
+
+    Problems come in a fixed order: unknown kinds and duplicates in trace
+    order, then each operation's faults in (job, operation) order, then
+    the events that name no operation (starts, then completions, each in
+    trace order), then overlaps machine by machine.
     """
     eps = 1e-9
     problems: list[str] = []
     speed = instance.config.transport_speed
-
-    starts: dict[tuple[int, int], tuple[float, int]] = {}
-    completes: dict[tuple[int, int], tuple[float, int]] = {}
-    buckets = {"start": starts, "complete": completes}
-    for time, mch, job_id, op_idx, kind in trace:
-        key = (job_id, op_idx)
-        bucket = buckets.get(kind)
-        if bucket is None:
-            problems.append(f"job {job_id} op {op_idx}: unknown event kind {kind!r} at {time}")
-        elif key in bucket:
-            problems.append(f"job {job_id} op {op_idx}: duplicate {kind}")
-        else:
-            bucket[key] = (time, mch)
-
-    machine_intervals: dict[int, list[tuple[float, float, int, int]]] = {}
     op_start, cand_start = instance.op_start, instance.cand_start
+    n_jobs = len(instance.release)
+
+    # Each operation's start and complete event, by global operation index;
+    # events that name no operation are kept by (job, op) instead.
+    starts: list[tuple | None] = [None] * op_start[-1]
+    completes: list[tuple | None] = [None] * op_start[-1]
+    columns = {"start": starts, "complete": completes}
+    strays: dict[str, dict] = {"start": {}, "complete": {}}
+    for event in trace:
+        time, mch, job_id, op_idx, kind = event
+        column = columns.get(kind)
+        if column is None:
+            problems.append(f"job {job_id} op {op_idx}: unknown event kind {kind!r} at {time}")
+            continue
+        if (
+            type(job_id) is int and type(op_idx) is int and 0 < job_id <= n_jobs
+            and 0 <= op_idx < op_start[job_id] - op_start[job_id - 1]
+        ):
+            o = op_start[job_id - 1] + op_idx
+            duplicate = column[o] is not None
+            if not duplicate:
+                column[o] = event
+        else:
+            stray = strays[kind]
+            duplicate = (job_id, op_idx) in stray
+            if not duplicate:
+                stray[job_id, op_idx] = time
+        if duplicate:
+            problems.append(f"job {job_id} op {op_idx}: duplicate {kind}")
+
+    by_machine: dict[int, list[int]] = {}  # operations started on each machine
     for job_id, release in enumerate(instance.release, 1):
         prev_complete = None
         prev_machine = None
         for op_idx, o in enumerate(range(op_start[job_id - 1], op_start[job_id])):
-            machines = instance.machines[cand_start[o]:cand_start[o + 1]]
-            times = instance.proc_times[cand_start[o]:cand_start[o + 1]]
-            key = (job_id, op_idx)
-            start, complete = starts.pop(key, None), completes.pop(key, None)
+            start, complete = starts[o], completes[o]
             if start is None or complete is None:
                 problems.append(f"job {job_id} op {op_idx}: missing start or complete")
                 continue
-            s_time, s_mch = start
-            c_time, c_mch = complete
+            s_time, s_mch = start[0], start[1]
+            c_time, c_mch = complete[0], complete[1]
+            machines = instance.machines[cand_start[o]:cand_start[o + 1]]
             if s_mch != c_mch:
                 problems.append(f"job {job_id} op {op_idx}: started on {s_mch}, completed on {c_mch}")
             if s_mch not in machines:
                 problems.append(f"job {job_id} op {op_idx}: machine {s_mch} not eligible")
             else:
-                pt = times[machines.index(s_mch)]
+                pt = instance.proc_times[cand_start[o] + machines.index(s_mch)]
                 if abs((c_time - s_time) - pt) > eps:
                     problems.append(
                         f"job {job_id} op {op_idx}: duration {c_time - s_time} != processing time {pt}"
@@ -463,18 +493,21 @@ def validate_trace(trace: list[tuple], instance: Instance) -> list[str]:
                 )
             prev_complete = c_time
             prev_machine = s_mch
-            machine_intervals.setdefault(s_mch, []).append((s_time, c_time, job_id, op_idx))
+            by_machine.setdefault(s_mch, []).append(o)
 
-    # The loop above took every operation's events; what is left names none.
-    for kind, bucket in buckets.items():
-        for (job_id, op_idx), (time, _) in bucket.items():
+    for kind, stray in strays.items():
+        for (job_id, op_idx), time in stray.items():
             problems.append(f"job {job_id} op {op_idx}: {kind} at {time} names no operation of the instance")
 
-    for mch, intervals in machine_intervals.items():
-        intervals.sort()
-        for (s1, c1, j1, o1), (s2, c2, j2, o2) in zip(intervals, intervals[1:]):
+    # Operation indices grow with (job, op), so this is (start, complete, job, op) order.
+    for mch, ops in by_machine.items():
+        ops.sort(key=lambda o: (starts[o][0], completes[o][0], o))
+        for o1, o2 in zip(ops, ops[1:]):
+            s1, _, j1, k1, _ = starts[o1]
+            s2, _, j2, k2, _ = starts[o2]
+            c1, c2 = completes[o1][0], completes[o2][0]
             if s2 < c1 - eps:
                 problems.append(
-                    f"machine {mch}: job {j1} op {o1} [{s1}, {c1}] overlaps job {j2} op {o2} [{s2}, {c2}]"
+                    f"machine {mch}: job {j1} op {k1} [{s1}, {c1}] overlaps job {j2} op {k2} [{s2}, {c2}]"
                 )
     return problems

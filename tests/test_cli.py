@@ -506,6 +506,14 @@ class TestEvolve:
         assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
         assert f"config error: {fragment}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key", [("gp", "population_size"), ("llm", "n_requested")])
+    def test_boolean_for_an_integer_exit_2(self, tmp_path, capsys, section, key):
+        config = tmp_path / "bad.yaml"
+        config.write_text(f"{section}: {{{key}: true}}\n")
+        assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
+        assert f"config error: {section}: {key} must be an integer, got True" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_negative_run_offset_exit_2(self, ws, tmp_path, capsys):
         out = tmp_path / "r"
         argv = ["evolve", "--config", str(ws / "tiny.yaml"), "--run-offset", "-2", "--runs", "3", "--out", str(out)]
@@ -569,6 +577,19 @@ class TestInitLlm:
         assert [rules_to_text(p) for p in load_rule_pairs(str(out))] == [canonical(*p) for p in CANNED_PAIRS]
         assert (tmp_path / "seeds.txt.insights.txt").read_text() == "Keep queues short and prefer near machines.\n"
         assert (tmp_path / "seeds.txt.audit.jsonl").exists()
+
+    def test_out_in_a_missing_directory(self, ws, tmp_path, capsys):
+        out = tmp_path / "missing" / "seeds.txt"
+        argv = [
+            "init-llm", "--config", str(ws / "tiny.yaml"),
+            "--provider", f"mock:{ws / 'mock'}", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        assert "accepted 2 of 3" in capsys.readouterr().out
+        assert [rules_to_text(p) for p in load_rule_pairs(str(out))] == [canonical(*p) for p in CANNED_PAIRS]
+        assert (out.parent / "seeds.txt.insights.txt").exists()
+        audit = (out.parent / "seeds.txt.audit.jsonl").read_text().splitlines()
+        assert json.loads(audit[0])["status"] == "ok"
 
     def test_n_changes_the_prompt(self, ws, tmp_path):
         # No canned reply exists for n=7, so the mock lookup must miss.

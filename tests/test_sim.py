@@ -679,6 +679,79 @@ class TestEngineBehaviour:
         problems = validate_trace(corrupt(list(out.trace)), golden_instance)
         assert any(fragment in p for p in problems), problems
 
+    @pytest.mark.parametrize(
+        "corrupt, expected",
+        [
+            (
+                # Job 1's completion dropped, job 2's last completion of an
+                # unknown kind, job 3 op 0 over job 2 op 0, job 99 twice.
+                lambda t: [t[0]] + _edit(_edit(_edit(t, 9, kind="finish"), 4, time=55.0), 5, time=65.0)[2:]
+                + [(0.0, 0, 99, 0, "start"), (1.0, 0, 99, 0, "start")],
+                [
+                    "job 2 op 1: unknown event kind 'finish' at 85.0",
+                    "job 99 op 0: duplicate start",
+                    "job 1 op 0: missing start or complete",
+                    "job 2 op 1: missing start or complete",
+                    "job 99 op 0: start at 0.0 names no operation of the instance",
+                    "machine 0: job 2 op 0 [40.0, 60.0] overlaps job 3 op 0 [55.0, 65.0]",
+                ],
+            ),
+            (
+                # A stray completion before two stray starts, job 2 op 0
+                # started at 30.0 inside job 1's run, job 3 op 1 started twice.
+                lambda t: [(3.0, 1, 4, 0, "complete")] + _edit(t, 2, time=30.0)
+                + [t[6], (2.0, 0, 1, 5, "start"), (5.0, 1, 0, 0, "start")],
+                [
+                    "job 3 op 1: duplicate start",
+                    "job 2 op 0: duration 30.0 != processing time 20.0",
+                    "job 1 op 5: start at 2.0 names no operation of the instance",
+                    "job 0 op 0: start at 5.0 names no operation of the instance",
+                    "job 4 op 0: complete at 3.0 names no operation of the instance",
+                    "machine 0: job 1 op 0 [10.0, 40.0] overlaps job 2 op 0 [30.0, 60.0]",
+                ],
+            ),
+            (
+                # Job 1 op 0 early on an ineligible machine, job 2 op 1 early
+                # and too long, overlaps on machines 1 and 0, an unknown kind.
+                lambda t: _edit(
+                    _edit(_edit(_edit(_edit(t, 0, machine=1, time=1.0), 1, time=50.0), 7, time=45.0), 4, time=55.0),
+                    5, time=65.0,
+                ) + [(9.0, 2, 1, 0, "ended")],
+                [
+                    "job 1 op 0: unknown event kind 'ended' at 9.0",
+                    "job 1 op 0: started on 1, completed on 0",
+                    "job 1 op 0: machine 1 not eligible",
+                    "job 1 op 0: starts at 1.0 before reachable time 20.0",
+                    "job 2 op 1: duration 40.0 != processing time 10.0",
+                    "job 2 op 1: starts at 45.0 before reachable time 75.0",
+                    "machine 1: job 1 op 0 [1.0, 50.0] overlaps job 2 op 1 [45.0, 85.0]",
+                    "machine 0: job 2 op 0 [40.0, 60.0] overlaps job 3 op 0 [55.0, 65.0]",
+                ],
+            ),
+        ],
+        ids=["kind-stray-missing-overlap", "strays-by-kind", "operation-then-machine-order"],
+    )
+    def test_validate_trace_orders_several_faults(self, golden_instance, corrupt, expected):
+        """Several corruptions at once give the whole problem list, in its fixed order."""
+        out = run_simulation(FIFO_RULES, golden_instance, record_trace=True)
+        assert validate_trace(corrupt(list(out.trace)), golden_instance) == expected
+
+    def test_recorded_events_share_job_ids(self):
+        """Every event and context of a job carries one int object as its id.
+
+        Ids above 256 are not CPython's cached small ints, so ``j + 1`` at
+        each event would make a new object.
+        """
+        inst = generate_instance(SimConfig(num_machines=3, total_jobs=300, warmup_jobs=5), seed=31)
+        out = run_simulation(
+            RulePair.from_text("WIQ + PT", "PT"), inst, record_trace=True, capture_contexts=True
+        )
+        first: dict[int, int] = {}
+        for job_id in [e[2] for e in out.trace] + [c[2] for c in out.contexts]:
+            assert type(job_id) is int
+            assert first.setdefault(job_id, job_id) is job_id
+        assert max(first) == 300 and {c[0] for c in out.contexts} == {"route", "sequence"}
+
 
 _TRACE_FIELDS = ("time", "machine", "job", "op", "kind")
 
