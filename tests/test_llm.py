@@ -34,6 +34,7 @@ from gpshop.llm import (
 from gpshop.llm import provider as provider_mod
 from gpshop.llm.prompts import SECTION_KEYS
 from gpshop.llm.report import NARRATIVE_UNAVAILABLE
+from gpshop.records import load_config
 from gpshop.rules import RulePair, rules_to_text
 from gpshop.sim import Scenario
 
@@ -194,6 +195,44 @@ class TestExplainPrompt:
         ):
             assert heading in contract
         assert "0.2×Fmean + 0.8×WTmean" in prompt.section("task preferences")
+
+
+class TestPinnedDigests:
+    """The sha256 of a prompt's text keys its canned mock reply, so a prompt
+    whose bytes drift silently orphans every recorded reply.  These digests
+    were computed from the packaged scenarios and must not be re-pinned
+    for a refactoring."""
+
+    PINNED = {
+        "init-fmean-085": "0739ea87186c89f80d82354b226fe9c0d8e7723619472dc46fe01075aac0ac38",
+        "init-zero-shot-fmean-085": "455598e85d4bb335688bdae746bbd2b5328778387b86b8e7e830e7b13a47e64f",
+        "init-fmean-wtmean-085": "155a60888e7700ce0c9073341985a9df9ea8fa6f9c01074ec15237b9e078b956",
+        "init-zero-shot-fmean-wtmean-085": "1a6a6859cb087943c5b36a708de05710c48c3cac47f964f1924d2c6e69d50fb8",
+        "transfer-fmean-085-to-fmean-wtmean-085": "dc4166fbcb940c92b89a9317ba72ae7b458080bfec928fd809bd15c05bad04ec",
+        "transfer-fmean-wtmean-085-to-fmean-085": "c4253a58a5ea0edcec8aebe9bb42f54d9dc2463014fca7880910b94aa7c00700",
+        "explain-fmean-085": "63304a0cd39a286a35e8b00bf3d1211f251c1a29791bef91757927427db8d876",
+        "explain-fmean-wtmean-085": "708e65cab19f1aa9d395052bad3a5aae42ff9d80eaf582165283e4b6b100fc5c",
+    }
+
+    def test_prompt_bytes_are_pinned(self):
+        scenarios = load_config().scenarios
+        single, mixed = scenarios["fmean-085"], scenarios["fmean-wtmean-085"]
+        best = RulePair.from_text("(WIQ + PT) + TRANT", "min(PT, SLACK)")
+        prompts = {
+            "init-fmean-085": build_init_prompt(single, REFS, PreferenceWeights.from_scenario(single), 30),
+            "init-zero-shot-fmean-085": build_init_prompt(single, [], PreferenceWeights.from_scenario(single), 100),
+            "init-fmean-wtmean-085": build_init_prompt(mixed, REFS, PreferenceWeights.from_scenario(mixed), 30),
+            "init-zero-shot-fmean-wtmean-085": build_init_prompt(mixed, [], PreferenceWeights.from_scenario(mixed), 100),
+            "transfer-fmean-085-to-fmean-wtmean-085": build_transfer_prompt(
+                REFS, single, mixed, PreferenceWeights.from_scenario(mixed), 5
+            ),
+            "transfer-fmean-wtmean-085-to-fmean-085": build_transfer_prompt(
+                REFS[:2], mixed, single, PreferenceWeights.from_scenario(single), 12
+            ),
+            "explain-fmean-085": build_explain_prompt(best, single),
+            "explain-fmean-wtmean-085": build_explain_prompt(best, mixed),
+        }
+        assert {key: p.digest for key, p in prompts.items()} == self.PINNED
 
 
 class SpyTransport:
