@@ -23,7 +23,7 @@ from .errors import ConfigError, DataError
 from .expr import TERMINAL_ORDER, format_expr
 from .gp import FitnessEvaluator, GPParams, evolve
 from .llm.extract import ExtractionResult, extract_heuristics
-from .llm.prompts import PreferenceWeights, build_init_prompt
+from .llm.prompts import build_init_prompt
 from .llm.provider import ProviderConfig, ProviderError, query
 from .llm.report import generate_report
 from .records import (
@@ -104,9 +104,8 @@ def _request_seeds(cfg: AppConfig, scenario: Scenario, args, path: str) -> Extra
     """
     provider = _provider_from_args(cfg, args).with_audit(path + ".audit.jsonl")
     references = load_references(args.references) if args.references else []
-    prefs = PreferenceWeights.from_scenario(scenario)
     n = args.n if args.n is not None else cfg.provider.n_requested
-    prompt = build_init_prompt(scenario, references, prefs, n_requested=n)
+    prompt = build_init_prompt(scenario, references, n_requested=n)
     extraction = extract_heuristics(query(provider, prompt))
     comments = [f"accepted: {len(extraction.accepted)}", f"rejected: {len(extraction.rejected)}"]
     comments += [f"  candidate {i}: {r.cause}" for i, r in enumerate(extraction.rejected, start=1)]

@@ -1,7 +1,6 @@
 """Bridge between the GP engine and chat-completion language models."""
 from .extract import ExtractionResult, RejectedCandidate, extract_heuristics
 from .prompts import (
-    PreferenceWeights,
     PromptSpec,
     ReferenceHeuristic,
     build_explain_prompt,
@@ -20,7 +19,6 @@ from .provider import (
 from .report import ReportResult, generate_report
 
 __all__ = [
-    "PreferenceWeights",
     "PromptSpec",
     "ReferenceHeuristic",
     "build_init_prompt",

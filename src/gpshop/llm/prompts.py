@@ -1,10 +1,11 @@
 """Prompt construction for the three chat-completion tasks.
 
-Builders are pure functions: identical inputs render identical text, and
-the sha256 digest of that text keys canned replies in the mock provider.
-Every prompt has four sections (problem context, reference heuristics with
-terminal semantics, task preferences, output format); initialization
-prompts require all four to be nonempty, which holds by construction.
+A prompt is a pure function of the scenario (objectives, lambdas,
+utilization), the reference heuristics and the requested candidate count:
+identical inputs render identical text, and the sha256 digest of that text
+keys canned replies in the mock provider.  Every prompt has the four
+``SECTION_KEYS`` sections (problem context, reference heuristics with
+terminal semantics, task preferences, output format), each nonempty.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from ..errors import ConfigError
 from ..expr import Terminal, format_expr, parse
 from ..rules import RulePair, rules_to_text
-from ..sim.config import OBJECTIVE_KEYS, Scenario
+from ..sim.config import Scenario
 
 SECTION_KEYS = (
     "problem context",
@@ -51,43 +52,15 @@ class ReferenceHeuristic:
             fitness_note=fitness_note,
         )
 
-    def pair(self) -> RulePair:
-        return RulePair.from_text(self.routing, self.sequencing)
-
     def text(self) -> str:
         return f"routing: {self.routing}\nsequencing: {self.sequencing}"
 
 
-@dataclass(frozen=True)
-class PreferenceWeights:
-    """Objective weights shown to the model; keys distinct, weights sum to 1."""
-
-    items: tuple[tuple[str, float], ...]
-
-    def __post_init__(self):
-        if not self.items:
-            raise ConfigError("preference weights need at least one objective")
-        keys = [key for key, _ in self.items]
-        if len(set(keys)) != len(keys):
-            raise ConfigError("preference objective keys must be distinct")
-        for key, lam in self.items:
-            if key not in OBJECTIVE_KEYS:
-                raise ConfigError(f"unknown objective {key!r}; expected one of {OBJECTIVE_KEYS}")
-            if not (0.0 <= lam <= 1.0):
-                raise ConfigError(f"preference weight for {key} must lie in [0, 1], got {lam}")
-        total = sum(lam for _, lam in self.items)
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigError(f"preference weights must sum to 1, got {total}")
-
-    @classmethod
-    def from_scenario(cls, scenario: Scenario) -> "PreferenceWeights":
-        return cls(items=tuple(zip(scenario.objectives, scenario.lambdas)))
-
-    def equation(self) -> str:
-        """Weighted-sum text, e.g. ``0.2×Fmean + 0.8×WTmean``."""
-        if len(self.items) == 1:
-            return self.items[0][0]
-        return " + ".join(f"{lam:g}×{key}" for key, lam in self.items)
+def objective_equation(scenario: Scenario) -> str:
+    """Weighted-sum text, e.g. ``Fmean`` or ``0.2×Fmean + 0.8×WTmean``."""
+    if len(scenario.objectives) == 1:
+        return scenario.objectives[0]
+    return " + ".join(f"{lam:g}×{key}" for key, lam in zip(scenario.objectives, scenario.lambdas))
 
 
 @dataclass(frozen=True)
@@ -96,14 +69,6 @@ class PromptSpec:
 
     kind: str  # init | transfer | explain
     sections: tuple[tuple[str, str], ...]
-    zero_shot: bool = False
-
-    def __post_init__(self):
-        titles = tuple(title for title, _ in self.sections)
-        if titles != SECTION_KEYS:
-            raise ConfigError(f"prompt sections must be {SECTION_KEYS}, got {titles}")
-        if self.kind == "init" and any(not body.strip() for _, body in self.sections):
-            raise ConfigError("initialization prompts need all four sections nonempty")
 
     def section(self, key: str) -> str:
         for title, body in self.sections:
@@ -119,6 +84,10 @@ class PromptSpec:
     @property
     def digest(self) -> str:
         return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
+
+
+def _spec(kind: str, context: str, references: str, preferences: str, contract: str) -> PromptSpec:
+    return PromptSpec(kind, tuple(zip(SECTION_KEYS, (context, references, preferences, contract))))
 
 
 def terminal_glossary() -> str:
@@ -186,14 +155,13 @@ def _output_contract(n_requested: int) -> str:
 def build_init_prompt(
     scenario: Scenario,
     references: list[ReferenceHeuristic],
-    prefs: PreferenceWeights,
     n_requested: int,
 ) -> PromptSpec:
     """Prompt asking for a knowledge-rich starting population."""
     if n_requested < 1:
         raise ConfigError("n_requested must be >= 1")
     preferences = (
-        f"Minimize the weighted objective: {prefs.equation()}.\n"
+        f"Minimize the weighted objective: {objective_equation(scenario)}.\n"
         "Lower is better for every term. Tardiness objectives compare\n"
         "completion times against due dates; flowtime objectives measure\n"
         "time from release to completion; weighted variants multiply by the\n"
@@ -202,27 +170,24 @@ def build_init_prompt(
         "Aim for a diverse set: vary both the signals used and the size of\n"
         "the expressions."
     )
-    sections = (
-        (SECTION_KEYS[0], _shop_context(scenario.utilization)),
-        (SECTION_KEYS[1], _references_block(references)),
-        (SECTION_KEYS[2], preferences),
-        (SECTION_KEYS[3], _output_contract(n_requested)),
+    return _spec(
+        "init",
+        _shop_context(scenario.utilization),
+        _references_block(references),
+        preferences,
+        _output_contract(n_requested),
     )
-    return PromptSpec(kind="init", sections=sections, zero_shot=not references)
 
 
 def build_transfer_prompt(
     source_refs: list[ReferenceHeuristic],
     source_scenario: Scenario,
     target_scenario: Scenario,
-    prefs: PreferenceWeights,
-    n_requested: int | None = None,
+    n_requested: int,
 ) -> PromptSpec:
     """Prompt asking to adapt heuristics from one scenario to another."""
     if source_scenario == target_scenario:
         raise ConfigError("transfer needs distinct source and target scenarios")
-    if n_requested is None:
-        n_requested = max(1, len(source_refs))
     if n_requested < 1:
         raise ConfigError("n_requested must be >= 1")
     context = (
@@ -232,7 +197,7 @@ def build_transfer_prompt(
         + f"scenario {target_scenario.label}."
     )
     preferences = (
-        f"The target task minimizes: {prefs.equation()} "
+        f"The target task minimizes: {objective_equation(target_scenario)} "
         f"(utilization {target_scenario.utilization:g}).\n"
         "Adapt the reference heuristics in three steps:\n"
         "1. Extract the ingredients worth keeping unchanged: terminal\n"
@@ -245,18 +210,13 @@ def build_transfer_prompt(
         "   terms only matter for tardiness objectives, weights only for\n"
         "   weighted ones) and drop anything source-specific that is left."
     )
-    sections = (
-        (SECTION_KEYS[0], context),
-        (SECTION_KEYS[1], _references_block(source_refs)),
-        (SECTION_KEYS[2], preferences),
-        (SECTION_KEYS[3], _output_contract(n_requested)),
+    return _spec(
+        "transfer", context, _references_block(source_refs), preferences, _output_contract(n_requested)
     )
-    return PromptSpec(kind="transfer", sections=sections, zero_shot=not source_refs)
 
 
 def build_explain_prompt(best: RulePair, scenario: Scenario) -> PromptSpec:
     """Prompt asking for a plain-language report on an evolved rule pair."""
-    prefs = PreferenceWeights.from_scenario(scenario)
     context = (
         _shop_context(scenario.utilization)
         + "\n\nA genetic programming run produced the rule pair below for "
@@ -265,7 +225,7 @@ def build_explain_prompt(best: RulePair, scenario: Scenario) -> PromptSpec:
     )
     refs = terminal_glossary() + "\n\nRule pair under analysis:\n\n" + rules_to_text(best).strip()
     preferences = (
-        f"The pair was optimized to minimize: {prefs.equation()}.\n"
+        f"The pair was optimized to minimize: {objective_equation(scenario)}.\n"
         "Relate the behavior of both rules to this preference; point out\n"
         "anything that looks like a side effect rather than a design goal."
     )
@@ -283,10 +243,4 @@ def build_explain_prompt(best: RulePair, scenario: Scenario) -> PromptSpec:
         "Quote subexpressions in backticks where helpful. Do not repeat the\n"
         "terminal glossary."
     )
-    sections = (
-        (SECTION_KEYS[0], context),
-        (SECTION_KEYS[1], refs),
-        (SECTION_KEYS[2], preferences),
-        (SECTION_KEYS[3], contract),
-    )
-    return PromptSpec(kind="explain", sections=sections)
+    return _spec("explain", context, refs, preferences, contract)

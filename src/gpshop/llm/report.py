@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from ..expr import TERMINAL_ORDER, depth, size, terminal_histogram
 from ..rules import RulePair, rules_to_text
 from ..sim.config import Scenario
-from .prompts import PreferenceWeights, build_explain_prompt
+from .prompts import build_explain_prompt, objective_equation
 from .provider import ProviderConfig, ProviderError, query
 
 NARRATIVE_UNAVAILABLE = "*narrative unavailable: the language model could not be reached*"
@@ -23,13 +23,12 @@ class ReportResult:
 
 
 def _appendix(best: RulePair, scenario: Scenario, test_score: float | None) -> str:
-    prefs = PreferenceWeights.from_scenario(scenario)
     counts: Counter = Counter(terminal_histogram(best.routing))
     counts.update(terminal_histogram(best.sequencing))
     lines = [
         "## Appendix (machine generated)",
         "",
-        f"Scenario: {scenario.label}, objective {prefs.equation()}",
+        f"Scenario: {scenario.label}, objective {objective_equation(scenario)}",
         "",
         "```",
         rules_to_text(best).strip(),

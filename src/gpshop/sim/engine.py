@@ -427,6 +427,7 @@ def validate_trace(trace: list[tuple], instance: Instance) -> list[str]:
     eps = 1e-9
     problems: list[str] = []
     speed = instance.config.transport_speed
+    n_machines = instance.config.num_machines
     op_start, cand_start = instance.op_start, instance.cand_start
     n_jobs = len(instance.release)
 
@@ -470,9 +471,11 @@ def validate_trace(trace: list[tuple], instance: Instance) -> list[str]:
             s_time, s_mch = start[0], start[1]
             c_time, c_mch = complete[0], complete[1]
             machines = instance.machines[cand_start[o]:cand_start[o + 1]]
+            # Distances are looked up only for a machine the shop has.
+            known = type(s_mch) is int and 0 <= s_mch < n_machines
             if s_mch != c_mch:
                 problems.append(f"job {job_id} op {op_idx}: started on {s_mch}, completed on {c_mch}")
-            if s_mch not in machines:
+            if not known or s_mch not in machines:
                 problems.append(f"job {job_id} op {op_idx}: machine {s_mch} not eligible")
             else:
                 pt = instance.proc_times[cand_start[o] + machines.index(s_mch)]
@@ -480,19 +483,17 @@ def validate_trace(trace: list[tuple], instance: Instance) -> list[str]:
                     problems.append(
                         f"job {job_id} op {op_idx}: duration {c_time - s_time} != processing time {pt}"
                     )
-            if op_idx == 0:
+            earliest = None
+            if known and op_idx == 0:
                 earliest = release + instance.entry_distances[s_mch] / speed
-            else:
-                if prev_complete is None:
-                    earliest = None
-                else:
-                    earliest = prev_complete + instance.machine_distances[prev_machine][s_mch] / speed
+            elif known and prev_machine is not None:
+                earliest = prev_complete + instance.machine_distances[prev_machine][s_mch] / speed
             if earliest is not None and s_time < earliest - eps:
                 problems.append(
                     f"job {job_id} op {op_idx}: starts at {s_time} before reachable time {earliest}"
                 )
             prev_complete = c_time
-            prev_machine = s_mch
+            prev_machine = s_mch if known else None
             by_machine.setdefault(s_mch, []).append(o)
 
     for kind, stray in strays.items():

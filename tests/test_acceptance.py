@@ -50,7 +50,7 @@ from gpshop.gp import (
     step,
 )
 from gpshop.llm import provider as provider_mod
-from gpshop.llm.prompts import PreferenceWeights, build_explain_prompt, build_init_prompt
+from gpshop.llm.prompts import build_explain_prompt, build_init_prompt
 from gpshop.records import load_config, load_rule_pairs, read_run_record
 from gpshop.rules import RulePair, rules_from_text, rules_to_text
 from gpshop.sim.config import Scenario, SimConfig
@@ -397,7 +397,7 @@ def pipeline_ws(tmp_path_factory):
     mock.mkdir()
     cfg = load_config(str(root / "config.yaml"))
     scenario = cfg.scenario(None)
-    prompt = build_init_prompt(scenario, [], PreferenceWeights.from_scenario(scenario), n_requested=3)
+    prompt = build_init_prompt(scenario, [], n_requested=3)
     (mock / f"{prompt.digest}.txt").write_text(PIPELINE_REPLY)
     return root
 

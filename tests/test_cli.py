@@ -20,7 +20,7 @@ from conftest import make_golden_instance
 from gpshop.cli import main
 from gpshop.gp import EvolutionLog, GenerationStats, GPParams
 from gpshop.llm import provider as provider_mod
-from gpshop.llm.prompts import PreferenceWeights, build_explain_prompt, build_init_prompt
+from gpshop.llm.prompts import build_explain_prompt, build_init_prompt
 from gpshop.llm.report import NARRATIVE_UNAVAILABLE
 from gpshop.records import (
     build_run_meta,
@@ -107,7 +107,7 @@ def ws(tmp_path_factory):
     mock.mkdir()
     cfg = load_config(str(root / "tiny.yaml"))
     scenario = cfg.scenario(None)
-    prompt = build_init_prompt(scenario, [], PreferenceWeights.from_scenario(scenario), n_requested=3)
+    prompt = build_init_prompt(scenario, [], n_requested=3)
     (mock / f"{prompt.digest}.txt").write_text(CANNED_REPLY)
     return root
 
@@ -444,7 +444,7 @@ class TestEvolve:
     def test_init_llm_without_usable_pairs_runs_random(self, ws, tmp_path, capsys):
         cfg = load_config(str(ws / "tiny.yaml"))
         scenario = cfg.scenario(None)
-        prompt = build_init_prompt(scenario, [], PreferenceWeights.from_scenario(scenario), n_requested=3)
+        prompt = build_init_prompt(scenario, [], n_requested=3)
         mock = tmp_path / "mock"
         mock.mkdir()
         (mock / f"{prompt.digest}.txt").write_text("```\nrouting: exp(PT)\nsequencing: PT\n```\n")

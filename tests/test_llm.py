@@ -17,8 +17,6 @@ from hypothesis import strategies as st
 from gpshop.errors import ConfigError
 from gpshop.expr import Terminal, depth, random_tree, size, terminal_histogram
 from gpshop.llm import (
-    PreferenceWeights,
-    PromptSpec,
     ProviderAuthError,
     ProviderConfig,
     ProviderProtocolError,
@@ -32,7 +30,7 @@ from gpshop.llm import (
     query,
 )
 from gpshop.llm import provider as provider_mod
-from gpshop.llm.prompts import SECTION_KEYS
+from gpshop.llm.prompts import SECTION_KEYS, objective_equation
 from gpshop.llm.report import NARRATIVE_UNAVAILABLE
 from gpshop.records import load_config
 from gpshop.rules import RulePair, rules_to_text
@@ -60,25 +58,10 @@ def write_mock(tmp_path, prompt, reply: str) -> ProviderConfig:
     return ProviderConfig(endpoint=f"mock:{tmp_path}")
 
 
-class TestPreferenceWeights:
-    def test_from_scenario_and_equation(self):
-        prefs = PreferenceWeights.from_scenario(MIXED)
-        assert prefs.equation() == "0.2×Fmean + 0.8×WTmean"
-        assert PreferenceWeights.from_scenario(FMEAN).equation() == "Fmean"
-
-    @pytest.mark.parametrize(
-        "items",
-        [
-            (),
-            (("Fmean", 0.5), ("Fmean", 0.5)),
-            (("Bogus", 1.0),),
-            (("Fmean", 0.7), ("WTmean", 0.7)),
-            (("Fmean", 1.5), ("WTmean", -0.5)),
-        ],
-    )
-    def test_validation(self, items):
-        with pytest.raises(ConfigError):
-            PreferenceWeights(items=items)
+class TestObjectiveEquation:
+    def test_single_and_weighted(self):
+        assert objective_equation(MIXED) == "0.2×Fmean + 0.8×WTmean"
+        assert objective_equation(FMEAN) == "Fmean"
 
 
 class TestReferenceHeuristic:
@@ -91,13 +74,13 @@ class TestReferenceHeuristic:
     def test_from_pair_round_trip(self):
         pair = RulePair.from_text("(WIQ + PT) + TRANT", "min(PT, SLACK)")
         ref = ReferenceHeuristic.from_pair(pair, label="x")
-        assert ref.pair() == pair
+        assert RulePair.from_text(ref.routing, ref.sequencing) == pair
         assert ref.text() == "routing: ((WIQ + PT) + TRANT)\nsequencing: min(PT, SLACK)"
 
 
 class TestInitPrompt:
     def test_sections_and_glossary(self):
-        prompt = build_init_prompt(MIXED, REFS, PreferenceWeights.from_scenario(MIXED), 30)
+        prompt = build_init_prompt(MIXED, REFS, 30)
         assert prompt.kind == "init"
         assert tuple(t for t, _ in prompt.sections) == SECTION_KEYS
         assert all(body.strip() for _, body in prompt.sections)
@@ -105,61 +88,50 @@ class TestInitPrompt:
             assert f"- {t.name}: {t.value}" in prompt.section("reference heuristics")
 
     def test_objective_equation_appears_once(self):
-        prompt = build_init_prompt(MIXED, REFS, PreferenceWeights.from_scenario(MIXED), 30)
+        prompt = build_init_prompt(MIXED, REFS, 30)
         assert prompt.text.count("0.2×Fmean + 0.8×WTmean") == 1
 
     def test_candidate_count_contract(self):
-        prompt = build_init_prompt(FMEAN, REFS, PreferenceWeights.from_scenario(FMEAN), 30)
+        prompt = build_init_prompt(FMEAN, REFS, 30)
         assert "exactly 30 candidate pairs" in prompt.text
         assert "INSIGHTS:" in prompt.section("output format")
 
     def test_references_verbatim(self):
-        prompt = build_init_prompt(FMEAN, REFS, PreferenceWeights.from_scenario(FMEAN), 10)
+        prompt = build_init_prompt(FMEAN, REFS, 10)
         body = prompt.section("reference heuristics")
         for ref in REFS:
             assert ref.text() in body
         assert "transport aware; strong" in body
 
-    def test_zero_shot_flagged(self):
-        prompt = build_init_prompt(FMEAN, [], PreferenceWeights.from_scenario(FMEAN), 5)
-        assert prompt.zero_shot
+    def test_no_references(self):
+        prompt = build_init_prompt(FMEAN, [], 5)
         assert "zero-shot" in prompt.section("reference heuristics")
         assert all(body.strip() for _, body in prompt.sections)
 
     def test_rejects_bad_count(self):
         with pytest.raises(ConfigError):
-            build_init_prompt(FMEAN, REFS, PreferenceWeights.from_scenario(FMEAN), 0)
+            build_init_prompt(FMEAN, REFS, 0)
 
     def test_rendering_is_pure(self):
-        a = build_init_prompt(MIXED, REFS, PreferenceWeights.from_scenario(MIXED), 30)
-        b = build_init_prompt(MIXED, REFS, PreferenceWeights.from_scenario(MIXED), 30)
+        a = build_init_prompt(MIXED, REFS, 30)
+        b = build_init_prompt(MIXED, REFS, 30)
         assert a.text == b.text
         assert a.digest == b.digest
-        c = build_init_prompt(MIXED, REFS, PreferenceWeights.from_scenario(MIXED), 31)
+        c = build_init_prompt(MIXED, REFS, 31)
         assert c.digest != a.digest
-
-    def test_spec_invariants(self):
-        bad = (("problem context", "x"), ("reference heuristics", ""),
-               ("task preferences", "y"), ("output format", "z"))
-        with pytest.raises(ConfigError):
-            PromptSpec(kind="init", sections=bad)
-        with pytest.raises(ConfigError):
-            PromptSpec(kind="init", sections=(("wrong", "x"),))
 
 
 class TestTransferPrompt:
     def test_rejects_identical_scenarios(self):
         with pytest.raises(ConfigError):
-            build_transfer_prompt(REFS, FMEAN, FMEAN, PreferenceWeights.from_scenario(FMEAN))
+            build_transfer_prompt(REFS, FMEAN, FMEAN, 5)
 
     def test_target_statistics_present(self):
         target = Scenario(
             objectives=("WTmean",), lambdas=(1.0,), utilization=0.95,
             training_seeds=(1,), test_seeds=(2,),
         )
-        prompt = build_transfer_prompt(
-            REFS, FMEAN, target, PreferenceWeights.from_scenario(target)
-        )
+        prompt = build_transfer_prompt(REFS, FMEAN, target, 5)
         prefs_body = prompt.section("task preferences")
         assert "utilization 0.95" in prefs_body
         assert "WTmean" in prefs_body
@@ -167,16 +139,14 @@ class TestTransferPrompt:
             assert step in prefs_body
         for ref in REFS:
             assert ref.text() in prompt.section("reference heuristics")
-        assert "exactly 5 candidate pairs" in prompt.text  # defaults to len(refs)
+        assert "exactly 5 candidate pairs" in prompt.text
 
     def test_explicit_count(self):
         target = Scenario(
             objectives=("Tmax",), lambdas=(1.0,), utilization=0.85,
             training_seeds=(1,), test_seeds=(2,),
         )
-        prompt = build_transfer_prompt(
-            REFS, FMEAN, target, PreferenceWeights.from_scenario(target), n_requested=12
-        )
+        prompt = build_transfer_prompt(REFS, FMEAN, target, n_requested=12)
         assert "exactly 12 candidate pairs" in prompt.text
 
 
@@ -219,16 +189,12 @@ class TestPinnedDigests:
         single, mixed = scenarios["fmean-085"], scenarios["fmean-wtmean-085"]
         best = RulePair.from_text("(WIQ + PT) + TRANT", "min(PT, SLACK)")
         prompts = {
-            "init-fmean-085": build_init_prompt(single, REFS, PreferenceWeights.from_scenario(single), 30),
-            "init-zero-shot-fmean-085": build_init_prompt(single, [], PreferenceWeights.from_scenario(single), 100),
-            "init-fmean-wtmean-085": build_init_prompt(mixed, REFS, PreferenceWeights.from_scenario(mixed), 30),
-            "init-zero-shot-fmean-wtmean-085": build_init_prompt(mixed, [], PreferenceWeights.from_scenario(mixed), 100),
-            "transfer-fmean-085-to-fmean-wtmean-085": build_transfer_prompt(
-                REFS, single, mixed, PreferenceWeights.from_scenario(mixed), 5
-            ),
-            "transfer-fmean-wtmean-085-to-fmean-085": build_transfer_prompt(
-                REFS[:2], mixed, single, PreferenceWeights.from_scenario(single), 12
-            ),
+            "init-fmean-085": build_init_prompt(single, REFS, 30),
+            "init-zero-shot-fmean-085": build_init_prompt(single, [], 100),
+            "init-fmean-wtmean-085": build_init_prompt(mixed, REFS, 30),
+            "init-zero-shot-fmean-wtmean-085": build_init_prompt(mixed, [], 100),
+            "transfer-fmean-085-to-fmean-wtmean-085": build_transfer_prompt(REFS, single, mixed, 5),
+            "transfer-fmean-wtmean-085-to-fmean-085": build_transfer_prompt(REFS[:2], mixed, single, 12),
             "explain-fmean-085": build_explain_prompt(best, single),
             "explain-fmean-wtmean-085": build_explain_prompt(best, mixed),
         }
@@ -256,7 +222,7 @@ def ok_reply(text="hello"):
 
 @pytest.fixture
 def prompt():
-    return build_init_prompt(FMEAN, REFS[:2], PreferenceWeights.from_scenario(FMEAN), 3)
+    return build_init_prompt(FMEAN, REFS[:2], 3)
 
 
 class TestQuery:

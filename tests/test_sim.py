@@ -667,10 +667,15 @@ class TestEngineBehaviour:
             ),
             (lambda t: t + [(0.0, 0, 99, 0, "start")], "job 99 op 0: start at 0.0 names no operation of the instance"),
             (lambda t: _edit(t, 0, kind="started"), "job 1 op 0: unknown event kind 'started' at 10.0"),
+            (lambda t: _edit(_edit(t, 0, machine=9), 1, machine=9), "job 1 op 0: machine 9 not eligible"),
+            (lambda t: _edit(_edit(t, 0, machine=-1), 1, machine=-1), "job 1 op 0: machine -1 not eligible"),
+            (lambda t: _edit(_edit(t, 0, machine=1.5), 1, machine=1.5), "job 1 op 0: machine 1.5 not eligible"),
+            (lambda t: _edit(_edit(t, 2, machine=9), 3, machine=9), "job 2 op 0: machine 9 not eligible"),
         ],
         ids=[
             "early-start", "missing", "duplicate", "machine-switch", "ineligible",
             "duration", "overlap", "unknown-op", "unknown-job", "unknown-kind",
+            "machine-out-of-range", "machine-negative", "machine-not-int", "after-machine-out-of-range",
         ],
     )
     def test_validate_trace_flags_corruption(self, golden_instance, corrupt, fragment):
@@ -728,8 +733,18 @@ class TestEngineBehaviour:
                     "machine 0: job 2 op 0 [40.0, 60.0] overlaps job 3 op 0 [55.0, 65.0]",
                 ],
             ),
+            (
+                # Job 1 op 0 on machine -1 and job 2 op 0 on machine 9: neither
+                # has distances, so no reachable time is checked for them or
+                # for job 2 op 1, which follows machine 9.
+                lambda t: _edit(_edit(_edit(_edit(t, 0, machine=-1), 1, machine=-1), 2, machine=9), 3, machine=9),
+                ["job 1 op 0: machine -1 not eligible", "job 2 op 0: machine 9 not eligible"],
+            ),
         ],
-        ids=["kind-stray-missing-overlap", "strays-by-kind", "operation-then-machine-order"],
+        ids=[
+            "kind-stray-missing-overlap", "strays-by-kind", "operation-then-machine-order",
+            "machines-out-of-range",
+        ],
     )
     def test_validate_trace_orders_several_faults(self, golden_instance, corrupt, expected):
         """Several corruptions at once give the whole problem list, in its fixed order."""
@@ -824,6 +839,7 @@ class TestConfigValidation:
             {"objectives": ("Fmean", "WTmean"), "lambdas": (0.7, 0.7)},
             {"objectives": ("Fmean",), "lambdas": (1.0,), "utilization": 1.5},
             {"objectives": ("Fmean",), "lambdas": (1.0,), "training_seeds": ()},
+            {"objectives": ("Fmean", "WTmean"), "lambdas": (1.5, -0.5)},
         ],
     )
     def test_bad_scenario(self, kwargs):
