@@ -13,7 +13,6 @@ import functools
 import glob
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -117,7 +116,7 @@ def _request_seeds(cfg: AppConfig, scenario: Scenario, args, path: str) -> Extra
 
 def _evolve_one_run(run_index: int, run_seed: int, *, scenario: Scenario, sim: SimConfig, gp: GPParams,
                     seed_pairs: list[RulePair] | None, master_seed: int, init_mode: str, outdir: str) -> dict:
-    """Execute one GP run and persist its three output files.
+    """Execute one GP run and persist its two output files.
 
     Top-level so ProcessPoolExecutor can ship a partial of it to workers;
     every argument is picklable (dataclasses, rule pairs, strings, ints).
@@ -144,11 +143,11 @@ def _evolve_one_run(run_index: int, run_seed: int, *, scenario: Scenario, sim: S
         "best_sequencing": format_expr(best.genome.sequencing),
         "train_fitness": best.fitness,
         "test_fitness": test_fitness,
+        "test_aborted": evaluator.test_aborted(best.genome),
         "evaluations": evaluator.evaluations,
     }
     record_path = os.path.join(outdir, f"run-{run_index}.jsonl")
     write_run_record(record_path, meta, log, result)
-    log.to_csv(os.path.join(outdir, f"run-{run_index}.log.csv"))
     write_text_atomic(os.path.join(outdir, f"run-{run_index}.best.txt"), rules_to_text(best.genome))
     return {
         "run_index": run_index,
@@ -190,6 +189,8 @@ def cmd_evolve(args) -> int:
     )
     indices = range(args.run_offset, args.run_offset + args.runs)
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # deferred: only --jobs > 1 needs it
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             summaries = list(pool.map(run_one, indices, run_seeds))
     else:

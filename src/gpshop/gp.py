@@ -22,7 +22,6 @@ from .expr import (
     replace_subtree,
     subtree_at,
 )
-from .fileio import write_text_atomic
 from .rules import RulePair, check_depth
 from .sim.config import Scenario, SimConfig
 from .sim.engine import QueueOverflow, run_simulation
@@ -61,7 +60,6 @@ class GPParams:
     population_size: int = 100
     generations: int = 50
     init_depth: tuple[int, int] = (2, 6)
-    max_depth: int = MAX_DEPTH
     crossover_rate: float = 0.80
     mutation_rate: float = 0.15
     reproduction_rate: float = 0.05
@@ -75,10 +73,8 @@ class GPParams:
         if self.generations < 0:
             raise ConfigError("generations must be >= 0")
         lo, hi = self.init_depth
-        if not (1 <= lo <= hi <= self.max_depth):
-            raise ConfigError(f"init_depth must lie within [1, {self.max_depth}]")
-        if self.max_depth != MAX_DEPTH:
-            raise ConfigError(f"max_depth is fixed at {MAX_DEPTH}")
+        if not (1 <= lo <= hi <= MAX_DEPTH):
+            raise ConfigError(f"init_depth must lie within [1, {MAX_DEPTH}]")
         total = self.crossover_rate + self.mutation_rate + self.reproduction_rate
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"operator rates must sum to 1, got {total}")
@@ -127,13 +123,6 @@ class EvolutionLog:
     entries: list[GenerationStats] = field(default_factory=list)
     gen0_fitness: list[float] = field(default_factory=list)
     seed_rejections: list[SeedRejection] = field(default_factory=list)
-
-    def to_csv(self, path: str) -> None:
-        rows = [
-            f"{e.generation},{e.best_fitness!r},{e.mean_fitness!r},{e.diversity!r},{e.aborted}\n"
-            for e in self.entries
-        ]
-        write_text_atomic(path, "generation,best,mean,diversity,aborted\n" + "".join(rows))
 
 
 # ------------------------------------------------------------- population
@@ -207,13 +196,11 @@ class FitnessEvaluator:
     seeds does regenerate one instance per generation.
     """
 
-    def __init__(self, config: SimConfig, scenario: Scenario, max_queue: int | None = None):
+    def __init__(self, config: SimConfig, scenario: Scenario):
         self.config = config.with_overrides(utilization=scenario.utilization)
         self.scenario = scenario
-        if max_queue is None:
-            # An order of magnitude above what well-behaved rules reach.
-            max_queue = max(100, self.config.total_jobs // 10)
-        self.max_queue = max_queue
+        # An order of magnitude above what well-behaved rules reach.
+        self.max_queue = max(100, self.config.total_jobs // 10)
         self.evaluations = 0
         self._instance: Instance | None = None
         self._outcomes: dict[tuple[RulePair, int, bool], ObjectiveVector | None] = {}
@@ -268,6 +255,10 @@ class FitnessEvaluator:
             total += self._fitness_on(pair, seed)
         return total / len(self.scenario.test_seeds)
 
+    def test_aborted(self, pair: RulePair) -> int:
+        """Held-out seeds on which the queue guard aborted ``pair``; after ``test_performance`` it reads the memo."""
+        return sum(self._objectives(pair, seed) is None for seed in self.scenario.test_seeds)
+
 
 # --------------------------------------------------------------- operators
 
@@ -311,12 +302,7 @@ def _with_slot(pair: RulePair, slot: int, tree: Expression) -> RulePair:
     return RulePair(routing=pair.routing, sequencing=tree)
 
 
-def crossover(
-    a: Individual,
-    b: Individual,
-    rng: np.random.Generator,
-    params: GPParams,
-) -> tuple[Individual, Individual]:
+def crossover(a: Individual, b: Individual, rng: np.random.Generator) -> tuple[Individual, Individual]:
     """Swap subtrees in one slot (routing or sequencing) of both parents.
 
     A child whose tree would exceed the depth cap is replaced by its own
@@ -329,8 +315,8 @@ def crossover(
     path_b = _biased_node_path(tree_b, rng)
     new_a = replace_subtree(tree_a, path_a, subtree_at(tree_b, path_b))
     new_b = replace_subtree(tree_b, path_b, subtree_at(tree_a, path_a))
-    genome_a = _with_slot(a.genome, slot, new_a) if depth(new_a) <= params.max_depth else a.genome
-    genome_b = _with_slot(b.genome, slot, new_b) if depth(new_b) <= params.max_depth else b.genome
+    genome_a = _with_slot(a.genome, slot, new_a) if depth(new_a) <= MAX_DEPTH else a.genome
+    genome_b = _with_slot(b.genome, slot, new_b) if depth(new_b) <= MAX_DEPTH else b.genome
     return (
         Individual(genome=genome_a, origin="crossover"),
         Individual(genome=genome_b, origin="crossover"),
@@ -344,7 +330,7 @@ def mutate(a: Individual, rng: np.random.Generator, params: GPParams) -> Individ
     path = _uniform_node_path(tree, rng)
     fresh = random_tree(rng, "grow", params.mutation_grow_depth, params.terminal_rate)
     mutated = replace_subtree(tree, path, fresh)
-    genome = _with_slot(a.genome, slot, mutated) if depth(mutated) <= params.max_depth else a.genome
+    genome = _with_slot(a.genome, slot, mutated) if depth(mutated) <= MAX_DEPTH else a.genome
     return Individual(genome=genome, origin="mutation")
 
 
@@ -376,7 +362,7 @@ def _breed(
         if r < cx:
             p1 = tournament_select(population, rng, k)
             p2 = tournament_select(population, rng, k)
-            c1, c2 = crossover(p1, p2, rng, params)
+            c1, c2 = crossover(p1, p2, rng)
             counts["crossover"] += 1
             out.append(c1)
             if len(out) < n:

@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 RECORD_KIND = "gpshop-run"
-RECORD_VERSION = 1
+RECORD_VERSION = 2
 
 _CONFIG_SECTIONS = ("sim", "gp", "scenarios", "default_scenario", "llm")
 
@@ -227,6 +227,8 @@ def read_run_record(path: str) -> RunRecordFile:
             seed=int(meta["run_seed"]),
             fitness=float(result["test_fitness"]),
         )
+        if type(result["test_aborted"]) is not int:
+            raise TypeError("result test_aborted must be an int")
         entries = [
             GenerationStats(
                 generation=int(row["generation"]),
@@ -235,12 +237,12 @@ def read_run_record(path: str) -> RunRecordFile:
                 diversity=float(row["diversity"]),
                 best_routing=row["best_routing"],
                 best_sequencing=row["best_sequencing"],
-                op_counts=dict(row.get("op_counts", {})),
-                aborted=int(row.get("aborted", 0)),
+                op_counts=dict(row["op_counts"]),
+                aborted=int(row["aborted"]),
             )
             for row in generations
         ]
-        rejections = [SeedRejection(index=int(r["index"]), cause=r["cause"]) for r in meta.get("seed_rejections", [])]
+        rejections = [SeedRejection(index=int(r["index"]), cause=r["cause"]) for r in meta["seed_rejections"]]
         log = EvolutionLog(entries=entries, gen0_fitness=[float(x) for x in gen0_fitness], seed_rejections=rejections)
         best = RulePair.from_text(result["best_routing"], result["best_sequencing"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # ExprError is a ValueError

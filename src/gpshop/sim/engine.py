@@ -422,7 +422,8 @@ def validate_trace(trace: list[tuple], instance: Instance) -> list[str]:
     Problems come in a fixed order: unknown kinds and duplicates in trace
     order, then each operation's faults in (job, operation) order, then
     the events that name no operation (starts, then completions, each in
-    trace order), then overlaps machine by machine.
+    trace order), then overlaps machine by machine, on the machines the
+    shop has.
     """
     eps = 1e-9
     problems: list[str] = []
@@ -494,7 +495,8 @@ def validate_trace(trace: list[tuple], instance: Instance) -> list[str]:
                 )
             prev_complete = c_time
             prev_machine = s_mch if known else None
-            by_machine.setdefault(s_mch, []).append(o)
+            if known:  # any other machine is already reported not eligible
+                by_machine.setdefault(s_mch, []).append(o)
 
     for kind, stray in strays.items():
         for (job_id, op_idx), time in stray.items():

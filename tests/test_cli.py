@@ -348,13 +348,13 @@ class TestEvolve:
         assert len(rec0.log.gen0_fitness) == 6
         assert len(rec0.log.entries) == 1
         assert rec0.result["evaluations"] > 0
-        for name in ("run-0.log.csv", "run-0.best.txt", "run-1.log.csv", "run-1.best.txt"):
-            assert (runs_random / name).exists()
+        assert rec0.result["test_aborted"] == 0
+        assert "max_depth" not in rec0.meta["gp"]
+        assert sorted(p.name for p in runs_random.iterdir()) == [
+            "run-0.best.txt", "run-0.jsonl", "run-1.best.txt", "run-1.jsonl",
+        ]
         # best.txt reloads as exactly one pair
         assert len(load_rule_pairs(str(runs_random / "run-0.best.txt"))) == 1
-        csv = (runs_random / "run-0.log.csv").read_text()
-        assert csv.startswith("generation,best,mean,diversity,aborted\n")
-        assert len(csv.splitlines()) == 2
 
     def test_repeat_invocation_byte_identical(self, ws, runs_random):
         out2 = ws / "runs-repeat"
@@ -514,6 +514,14 @@ class TestEvolve:
         assert f"config error: {section}: {key} must be an integer, got True" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_dropped_max_depth_key_exit_2(self, tmp_path, capsys):
+        """``gp.max_depth`` is no setting: ``expr.MAX_DEPTH`` (8) is the only depth cap."""
+        config = tmp_path / "old.yaml"
+        config.write_text("gp: {max_depth: 8}\n")
+        assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
+        assert "config error: gp: unknown key 'max_depth'" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_negative_run_offset_exit_2(self, ws, tmp_path, capsys):
         out = tmp_path / "r"
         argv = ["evolve", "--config", str(ws / "tiny.yaml"), "--run-offset", "-2", "--runs", "3", "--out", str(out)]
@@ -526,19 +534,15 @@ class TestEvolve:
         [
             ("fmean-085", {
                 "run-0.best.txt": "561b59b294f644842dc6518061340e18143192c69816c046d97e5a5100560049",
-                "run-0.jsonl": "bf443cde7d8c460ce4668f411395d29ded9b09aa1e6011e9d7c0a1d75b6c7588",
-                "run-0.log.csv": "4054d23ab5cda411d0f9191132dc8dcfa9cf55d7be9b6fdba7f989445a076937",
+                "run-0.jsonl": "377254793ed5d3a5c802e74dd70e9b9a570f7b21c3cf0ac70aa173a33ea56347",
                 "run-1.best.txt": "8d5d78db1b96089c88421a5e4ed6fee23ff7a1d8b6a0b5bbebcb2245269ddda7",
-                "run-1.jsonl": "ef2a605e5c88deac59bb56b128a3977cf8cef494a9fd59508e15b390e59d66a3",
-                "run-1.log.csv": "79859093916bdd57536495136bfa8769c382668f06c65fefd839f5a329014169",
+                "run-1.jsonl": "70224b097f3fedaabaf6d0c59e7a52afe7f9c03eeb529c59913b5bf65eed76d8",
             }),
             ("fmean-wtmean-085", {
                 "run-0.best.txt": "561b59b294f644842dc6518061340e18143192c69816c046d97e5a5100560049",
-                "run-0.jsonl": "d2d42a88fe13716bd70d0f67e224dac2aa884e256ac6d73865fe6e737835cd8d",
-                "run-0.log.csv": "ce6caeef1eabd9aa0d38a6639d95197dbc5d6e17d1537c7dd68db1fd926ab783",
+                "run-0.jsonl": "abd49f5cd9c9c892f86946ca46213c62690a01859fa5966c4ae5b7c6e04f1863",
                 "run-1.best.txt": "addfafb541fd2fac4c1f0a522df7c2f580a39f387815d8ec8b40a1d31d3f94fa",
-                "run-1.jsonl": "72f791595d174ff41948ad6ac06072e68df6f64737690ff20e30e7bc0698bc77",
-                "run-1.log.csv": "f3108ed97a3f987dcb4e859bae65704f2b1fcd7fecb34b4a55070fa7f1bac68b",
+                "run-1.jsonl": "f2c3bdb48cd01339f5f22a0d67da1eb8f30755a89fb5e11a2c2b236f5ecb8b06",
             }),
         ],
     )
@@ -703,7 +707,7 @@ def fake_record(path: str, method: str, scenario_name: str, seed: int, fitness: 
     )
     result = {
         "best_routing": "WIQ", "best_sequencing": "PT",
-        "train_fitness": fitness, "test_fitness": fitness, "evaluations": 8,
+        "train_fitness": fitness, "test_fitness": fitness, "test_aborted": 0, "evaluations": 8,
     }
     write_run_record(path, meta, log, result)
 
@@ -840,11 +844,17 @@ class TestCompare:
             (-1, ("result", "best_routing"), _MISSING),
             (0, ("meta", "method"), 7),
             (-1, ("result", "best_routing"), "(" * 2000 + "PT" + ")" * 2000),
+            (2, ("op_counts",), _MISSING),
+            (2, ("aborted",), _MISSING),
+            (-1, ("result", "test_aborted"), _MISSING),
+            (-1, ("result", "test_aborted"), "0"),
+            (0, ("meta", "seed_rejections"), _MISSING),
         ],
         ids=[
             "test_fitness-text", "test_fitness-null", "gen0-overflow", "best_fitness-overflow",
             "run_seed-text", "best_routing-unparsable", "best_routing-missing", "method-int",
-            "best_routing-too-deep",
+            "best_routing-too-deep", "op_counts-missing", "aborted-missing", "test_aborted-missing",
+            "test_aborted-text", "seed_rejections-missing",
         ],
     )
     def test_malformed_value_exit_4(self, record_dir, capsys, line, keys, value):
@@ -900,12 +910,15 @@ class TestTopLevel:
 
 
 def test_cli_import_leaves_requests_unloaded():
-    """Only real LLM endpoints use HTTP; a fresh CLI process imports neither requests nor urllib.request."""
+    """A fresh CLI process imports neither requests, urllib.request nor the process pool.
+
+    Only real LLM endpoints use HTTP, and only ``evolve --jobs`` above 1 uses a pool.
+    """
     src = os.path.dirname(os.path.dirname(gpshop.__file__))
     probe = (
         f"import sys; sys.path.insert(0, {src!r}); from gpshop import cli; "
         "from gpshop.records import load_config; load_config(); "
-        "print('requests' in sys.modules, 'urllib.request' in sys.modules)"
+        "print('requests' in sys.modules, 'urllib.request' in sys.modules, 'concurrent.futures.process' in sys.modules)"
     )
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False False"
+    assert done.stdout.strip() == "False False False"

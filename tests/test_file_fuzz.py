@@ -92,7 +92,7 @@ def record_lines(scratch) -> list[str]:
     )
     result = {
         "best_routing": "WIQ", "best_sequencing": "(PT + WKR)",
-        "train_fitness": 8.0, "test_fitness": 9.5, "evaluations": 12,
+        "train_fitness": 8.0, "test_fitness": 9.5, "test_aborted": 0, "evaluations": 12,
     }
     path = scratch / "run.jsonl"
     write_run_record(str(path), meta, log, result)

@@ -30,6 +30,8 @@ from gpshop.rules import RulePair
 from gpshop.sim import QueueOverflow, Scenario, SimConfig, run_simulation, weighted_fitness
 
 SMALL_CONFIG = SimConfig(num_machines=3, total_jobs=40, warmup_jobs=5)
+# Long enough for ``W - W`` routing to trip the evaluator's default queue guard of 100.
+GUARD_CONFIG = SMALL_CONFIG.with_overrides(total_jobs=400, warmup_jobs=10)
 SMALL_SCENARIO = Scenario(
     objectives=("Fmean",),
     lambdas=(1.0,),
@@ -104,7 +106,7 @@ class TestGPParams:
             {"init_depth": (0, 6)},
             {"init_depth": (6, 2)},
             {"init_depth": (2, 9)},
-            {"max_depth": 9},
+            {"mutation_rate": 0.25, "reproduction_rate": -0.05},
             {"crossover_rate": 0.9},
             {"tournament_size": 0},
             {"terminal_rate": 1.5},
@@ -235,17 +237,16 @@ class TestOperators:
 
     def test_crossover_is_deterministic(self):
         a, b = self._parents()
-        c1 = crossover(a, b, np.random.default_rng(7), GPParams())
-        c2 = crossover(a, b, np.random.default_rng(7), GPParams())
+        c1 = crossover(a, b, np.random.default_rng(7))
+        c2 = crossover(a, b, np.random.default_rng(7))
         assert c1[0].genome == c2[0].genome
         assert c1[1].genome == c2[1].genome
 
     def test_crossover_touches_one_slot(self):
         a, b = self._parents()
-        params = GPParams()
         changed_routing = changed_sequencing = 0
         for seed in range(40):
-            c1, c2 = crossover(a, b, np.random.default_rng(seed), params)
+            c1, c2 = crossover(a, b, np.random.default_rng(seed))
             for child, parent in ((c1, a), (c2, b)):
                 assert child.origin == "crossover"
                 same_route = child.genome.routing == parent.genome.routing
@@ -259,14 +260,13 @@ class TestOperators:
         assert changed_sequencing > 0
 
     def test_crossover_respects_depth_cap(self):
-        params = GPParams()
         rng = np.random.default_rng(8)
         deep = Individual(
             genome=RulePair(routing=deep_tree(8), sequencing=deep_tree(8)), fitness=0.0
         )
         fallbacks = 0
         for _ in range(100):
-            c1, c2 = crossover(deep, deep, rng, params)
+            c1, c2 = crossover(deep, deep, rng)
             for child in (c1, c2):
                 assert depth(child.genome.routing) <= 8
                 assert depth(child.genome.sequencing) <= 8
@@ -367,11 +367,8 @@ class TestFitnessEvaluator:
         assert ev.fitness(pair, seed=1) == expected
 
     def test_degenerate_rules_get_penalty_fitness(self):
-        ev = FitnessEvaluator(
-            SMALL_CONFIG.with_overrides(total_jobs=200, warmup_jobs=10),
-            SMALL_SCENARIO,
-            max_queue=30,
-        )
+        ev = FitnessEvaluator(GUARD_CONFIG, SMALL_SCENARIO)
+        assert ev.max_queue == 100
         assert ev.fitness(RulePair.from_text("W - W", "PT"), seed=1) == DEGENERATE_FITNESS
 
     @staticmethod
@@ -402,11 +399,7 @@ class TestFitnessEvaluator:
 
     def test_guard_aborts_are_memoised(self, monkeypatch):
         simulated = self.spy_on_simulations(monkeypatch)
-        ev = FitnessEvaluator(
-            SMALL_CONFIG.with_overrides(total_jobs=200, warmup_jobs=10),
-            SMALL_SCENARIO,
-            max_queue=30,
-        )
+        ev = FitnessEvaluator(GUARD_CONFIG, SMALL_SCENARIO)
         pair = RulePair.from_text("W - W", "PT")
         assert ev.fitness(pair, seed=1) == DEGENERATE_FITNESS
         assert ev.fitness(pair, seed=1) == DEGENERATE_FITNESS
@@ -488,12 +481,17 @@ class TestFitnessEvaluator:
             objectives=("Fmean",), lambdas=(1.0,), utilization=0.8,
             training_seeds=(1,), test_seeds=(3, 4),
         )
-        ev = FitnessEvaluator(SMALL_CONFIG.with_overrides(total_jobs=200, warmup_jobs=10), scenario, max_queue=30)
+        ev = FitnessEvaluator(GUARD_CONFIG, scenario)
         pair = RulePair.from_text("W - W", "PT")
         assert ev.test_performance(pair) == DEGENERATE_FITNESS
         assert ev.test_performance(pair) == DEGENERATE_FITNESS
+        assert ev.test_aborted(pair) == 2
         assert simulated == [3, 4]
         assert ev.evaluations == 0
+        # The reference pair completes on both seeds; counting reads the memo.
+        ev.test_performance(RulePair.reference())
+        assert ev.test_aborted(RulePair.reference()) == 0
+        assert simulated == [3, 4, 3, 4]
 
 
 class TestEvolve:
@@ -639,13 +637,3 @@ class TestEvolve:
             step(state, params, evaluator, rng)
         assert (state.best, state.log) == whole
         assert state.generation == 4
-
-    def test_log_to_csv(self, tmp_path):
-        stub = StubEvaluator()
-        rng = np.random.default_rng(19)
-        _, log = evolve(small_params(), stub, rng)
-        path = tmp_path / "log.csv"
-        log.to_csv(str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "generation,best,mean,diversity,aborted"
-        assert len(lines) == 4

@@ -148,6 +148,7 @@ RESULT = {
     "best_sequencing": "PT",
     "train_fitness": 8.0,
     "test_fitness": 9.5,
+    "test_aborted": 0,
     "evaluations": 12,
 }
 
@@ -210,18 +211,6 @@ class TestRunRecords:
         assert rebuilt.entries[1].op_counts == {"crossover": 3, "mutation": 1}
         assert rebuilt.seed_rejections == log.seed_rejections
 
-    def test_log_from_record_without_abort_counts(self, tmp_path):
-        """Records written before generation rows carried ``aborted`` still load."""
-        log = sample_log()
-        log.entries[1].aborted = 2
-        rows = [json.loads(line) for line in run_record_lines(sample_meta(SCENARIO), log, RESULT)]
-        for row in rows:
-            row.pop("aborted", None)
-        path = tmp_path / "old.jsonl"
-        path.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
-        rebuilt = read_run_record(str(path)).log
-        assert [e.aborted for e in rebuilt.entries] == [0, 0]
-
     def test_read_rejects_defects(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -234,15 +223,16 @@ class TestRunRecords:
         with pytest.raises(DataError, match="not a gpshop-run"):
             read_run_record(str(wrong))
         vers = tmp_path / "vers.jsonl"
-        vers.write_text('{"kind": "gpshop-run", "version": 99, "meta": {}}\n{"result": {}}\n')
-        with pytest.raises(DataError, match="version"):
-            read_run_record(str(vers))
+        for version in (99, 1):
+            vers.write_text(f'{{"kind": "gpshop-run", "version": {version}, "meta": {{}}}}\n{{"result": {{}}}}\n')
+            with pytest.raises(DataError, match=f"unsupported record version {version}"):
+                read_run_record(str(vers))
         garbled = tmp_path / "garbled.jsonl"
-        garbled.write_text('{"kind": "gpshop-run", "version": 1, "meta": {}}\nnot json\n')
+        garbled.write_text('{"kind": "gpshop-run", "version": 2, "meta": {}}\nnot json\n')
         with pytest.raises(DataError, match="invalid JSON"):
             read_run_record(str(garbled))
         headless = tmp_path / "headless.jsonl"
-        headless.write_text('{"kind": "gpshop-run", "version": 1, "meta": {}}\n{"gen0_fitness": []}\n')
+        headless.write_text('{"kind": "gpshop-run", "version": 2, "meta": {}}\n{"gen0_fitness": []}\n')
         with pytest.raises(DataError, match="no result"):
             read_run_record(str(headless))
 

@@ -671,11 +671,13 @@ class TestEngineBehaviour:
             (lambda t: _edit(_edit(t, 0, machine=-1), 1, machine=-1), "job 1 op 0: machine -1 not eligible"),
             (lambda t: _edit(_edit(t, 0, machine=1.5), 1, machine=1.5), "job 1 op 0: machine 1.5 not eligible"),
             (lambda t: _edit(_edit(t, 2, machine=9), 3, machine=9), "job 2 op 0: machine 9 not eligible"),
+            (lambda t: _edit(_edit(t, 0, machine=[0]), 1, machine=[0]), "job 1 op 0: machine [0] not eligible"),
         ],
         ids=[
             "early-start", "missing", "duplicate", "machine-switch", "ineligible",
             "duration", "overlap", "unknown-op", "unknown-job", "unknown-kind",
             "machine-out-of-range", "machine-negative", "machine-not-int", "after-machine-out-of-range",
+            "machine-unhashable",
         ],
     )
     def test_validate_trace_flags_corruption(self, golden_instance, corrupt, fragment):
