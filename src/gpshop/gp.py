@@ -72,9 +72,11 @@ class GPParams:
             raise ConfigError("population_size must be >= 1")
         if self.generations < 0:
             raise ConfigError("generations must be >= 0")
-        lo, hi = self.init_depth
-        if not (1 <= lo <= hi <= MAX_DEPTH):
-            raise ConfigError(f"init_depth must lie within [1, {MAX_DEPTH}]")
+        for name in ("init_depth", "mutation_grow_depth"):
+            bounds = getattr(self, name)
+            pair = isinstance(bounds, (tuple, list)) and len(bounds) == 2 and all(type(b) is int for b in bounds)
+            if not (pair and 1 <= bounds[0] <= bounds[1] <= MAX_DEPTH):
+                raise ConfigError(f"{name} must be a pair of integers lo <= hi within [1, {MAX_DEPTH}], got {bounds!r}")
         total = self.crossover_rate + self.mutation_rate + self.reproduction_rate
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"operator rates must sum to 1, got {total}")
@@ -207,6 +209,7 @@ class FitnessEvaluator:
 
     def instance(self, seed: int) -> Instance:
         if self._instance is None or self._instance.seed != seed:
+            self._instance = None  # the old instance goes before the next is built
             self._instance = generate_instance(self.config, seed=seed)
         return self._instance
 

@@ -274,18 +274,12 @@ def run_simulation(
     first job after the warm-up.
     """
     cfg = instance.config
-
-    speed = cfg.transport_speed
     release = instance.release
     op_start, cand_start = instance.op_start, instance.cand_start
     machines, proc_times, npt, wkr = instance.machines, instance.proc_times, instance.npt, instance.wkr
+    trav = instance.travel  # row 0 from the entry point, row 1 + i from machine i
     n_jobs = len(release)
     m = len(instance.machine_rates)
-
-    # Row 0 is travel from the entry point; rows 1..m from each machine.
-    trav: list[tuple[float, ...]] = [tuple(d / speed for d in instance.entry_distances)]
-    for row in instance.machine_distances:
-        trav.append(tuple(d / speed for d in row))
 
     cur_op = list(op_start[:-1])  # each job's current operation (global index)
     loc = [-1] * n_jobs  # -1 = entry point, else machine index

@@ -10,6 +10,7 @@ import bisect
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +46,15 @@ class Instance:
     last operation) and the medians from that operation on, itself
     included, summed from the job's last operation back (WKR).  They are
     left out of equality, ``repr`` and ``dump_instance``; every other
-    column is given.
+    column is given.  ``travel`` is derived on first use.
+
+    Columns share their number objects where values repeat.  ``npt``
+    holds ``median``'s own objects and one 0.0.  ``generate_instance``
+    holds one float object per distinct value in ``workload``,
+    ``proc_times`` and the distances, and ``travel`` holds one per
+    distinct non-zero distance.  Only object identity is shared:
+    values, equality, ``repr`` and dumps are those of one object per
+    entry.
     """
 
     config: SimConfig
@@ -66,28 +75,57 @@ class Instance:
     wkr: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        npt, wkr = _derived_columns(self.op_start, self.median)
-        object.__setattr__(self, "npt", tuple(npt.tolist()))
+        following, wkr = _derived_columns(self.op_start, self.median)
+        medians = np.empty(len(self.median) + 1, dtype=object)
+        medians[:-1] = self.median
+        medians[-1] = 0.0
+        object.__setattr__(self, "npt", tuple(medians[following].tolist()))
         object.__setattr__(self, "wkr", tuple(wkr.tolist()))
+
+    @cached_property
+    def travel(self) -> tuple[tuple[float, ...], ...]:
+        """Travel times, distance / transport_speed: row 0 from the entry point, row 1 + i from machine i."""
+        quotients = _Quotients(self.config.transport_speed)
+        return tuple(tuple(map(quotients.__getitem__, row)) for row in (self.entry_distances, *self.machine_distances))
+
+
+class _Quotients(dict):
+    """``q[d]`` is ``d / divisor``, divided once per distinct non-zero ``d``.
+
+    A zero is divided each time: 0, 0.0, -0.0 and False are equal keys,
+    but their quotients are 0.0 or -0.0.
+    """
+
+    def __init__(self, divisor: float):
+        super().__init__()
+        self.divisor = divisor
+
+    def __missing__(self, d):
+        quotient = d / self.divisor
+        if d:
+            self[d] = quotient
+        return quotient
 
 
 def _derived_columns(op_start, median) -> tuple[np.ndarray, np.ndarray]:
-    """NPT and WKR per operation, from the job offsets and the medians.
+    """Per operation, where its NPT is in ``median + (0.0,)``, and its WKR.
 
-    Vectorised position by position over the jobs, in the order a per-job
-    loop adds: WKR starts at 0.0 plus the last median and adds each
+    NPT is the next operation's median, index ``o + 1``, or the appended
+    0.0, index ``len(median)``, for a job's last operation.  WKR is
+    vectorised position by position over the jobs, in the order a per-job
+    loop adds: it starts at 0.0 plus the last median and adds each
     earlier median in turn, ``wkr[o] = wkr[o + 1] + median[o]``.
     """
     op_start = np.asarray(op_start, dtype=np.int64)
     first, n_ops = op_start[:-1], np.diff(op_start)
     median = np.asarray(median, dtype=float)
-    npt = np.zeros(len(median))
+    following = np.arange(1, len(median) + 1)
+    following[op_start[1:][n_ops > 0] - 1] = len(median)
     wkr = 0.0 + median
     for k in range(int(n_ops.max(initial=0)) - 2, -1, -1):
         ops = first[n_ops > k + 1] + k
-        npt[ops] = median[ops + 1]
         wkr[ops] = wkr[ops + 1] + median[ops]
-    return npt, wkr
+    return following, wkr
 
 
 def arrival_rate_for_utilization(config: SimConfig) -> float:
@@ -245,6 +283,8 @@ def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
     bounds.  The block size does not change the stream.  Processing
     times, medians and due dates follow from the draws by
     ``_timing_columns``, which ``load_instance`` checks files against.
+    Workloads, processing times and distances hold one float object per
+    distinct value.
 
     Raises ConfigError if a release, due date, weight, processing time or
     travel time is not within +/-MAX_INSTANCE_VALUE, or if the weighted
@@ -268,12 +308,20 @@ def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
     machines = _eligible_machines(rng, m, sizes)
     weights = rng.choice([int(w) for w, _ in config.weight_mix], size=n, p=[p for _, p in config.weight_mix])
 
-    # Row i takes its lower part from column i of the rows above, so the
-    # matrix holds each pairwise distance once.
+    # One float object per distinct distance.  Row i takes its lower part
+    # from column i of the rows above, so the matrix holds each pairwise
+    # distance once.
+    distinct: dict[float, float] = {}
+
+    def shared_distances(start, stop):
+        values = distances[start:stop].tolist()
+        return list(map(distinct.setdefault, values, values))
+
+    entry_distances = tuple(shared_distances(0, m))
     machine_distances = []
     start = m
     for i in range(m):
-        right = distances[start:start + m - 1 - i].tolist()
+        right = shared_distances(start, start + m - 1 - i)
         machine_distances.append(tuple([row[i] for row in machine_distances] + [0.0] + right))
         start += m - 1 - i
 
@@ -287,21 +335,32 @@ def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
     except ValueError as exc:
         raise ConfigError(f"the config generates an out-of-range instance: {exc}") from exc
 
+    # One float object per distinct workload, and one per distinct
+    # processing time: keyed by (distinct workload, machine), for the keys
+    # present, and divided as _timing_columns divides.
+    workload_values, workload_index = np.unique(workloads, return_inverse=True)
+    shared_workloads = np.empty(len(workload_values), dtype=object)
+    shared_workloads[:] = workload_values.tolist()
+    key = np.repeat(workload_index, sizes) * m + machines
+    present = np.flatnonzero(np.bincount(key))
+    shared_times = np.empty(len(workload_values) * m, dtype=object)
+    shared_times[present] = (workload_values[present // m] / rates[present % m]).tolist()
+
     return Instance(
         config=config,
         seed=seed,
         machine_rates=tuple(rates.tolist()),
-        entry_distances=tuple(distances[:m].tolist()),
+        entry_distances=entry_distances,
         machine_distances=tuple(machine_distances),
         release=tuple(releases.tolist()),
         weight=tuple(weights.tolist()),
         due=tuple(due.tolist()),
         op_start=tuple(op_start.tolist()),
-        workload=tuple(workloads.tolist()),
+        workload=tuple(shared_workloads[workload_index].tolist()),
         median=tuple(medians.tolist()),
         cand_start=tuple(cand_start.tolist()),
         machines=tuple(machines.tolist()),
-        proc_times=tuple(proc_times.tolist()),
+        proc_times=tuple(shared_times[key].tolist()),
     )
 
 

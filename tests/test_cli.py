@@ -522,6 +522,14 @@ class TestEvolve:
         assert "config error: gp: unknown key 'max_depth'" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_mutation_depth_beyond_the_cap_exit_2(self, tmp_path, capsys):
+        """The range is checked when the config loads, before any simulation."""
+        config = tmp_path / "deep.yaml"
+        config.write_text(TINY_YAML.replace("generations: 1", "generations: 3\n  mutation_grow_depth: [3, 12]"))
+        assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
+        assert "config error: gp: mutation_grow_depth must be a pair of integers" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_negative_run_offset_exit_2(self, ws, tmp_path, capsys):
         out = tmp_path / "r"
         argv = ["evolve", "--config", str(ws / "tiny.yaml"), "--run-offset", "-2", "--runs", "3", "--out", str(out)]

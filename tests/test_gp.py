@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from gpshop.gp import (
     tournament_select,
 )
 from gpshop.rules import RulePair
-from gpshop.sim import QueueOverflow, Scenario, SimConfig, run_simulation, weighted_fitness
+from gpshop.sim import QueueOverflow, Scenario, SimConfig, generate_instance, run_simulation, weighted_fitness
 
 SMALL_CONFIG = SimConfig(num_machines=3, total_jobs=40, warmup_jobs=5)
 # Long enough for ``W - W`` routing to trip the evaluator's default queue guard of 100.
@@ -110,6 +111,15 @@ class TestGPParams:
             {"crossover_rate": 0.9},
             {"tournament_size": 0},
             {"terminal_rate": 1.5},
+            {"mutation_grow_depth": (3, 12)},
+            {"mutation_grow_depth": (0, 2)},
+            {"mutation_grow_depth": (4, 2)},
+            {"mutation_grow_depth": 3},
+            {"init_depth": (2.5, 4)},
+            {"init_depth": (2, 3.5)},
+            {"init_depth": (True, 3)},
+            {"mutation_grow_depth": (2, False)},
+            {"init_depth": (2, 3, 4)},
         ],
     )
     def test_rejects_bad_params(self, kwargs):
@@ -451,6 +461,20 @@ class TestFitnessEvaluator:
         assert second.seed == 2 and ev.instance(2) is second
         again = ev.instance(1)
         assert again is not first and again == first
+
+    def test_regeneration_lets_the_old_instance_go_first(self, monkeypatch):
+        """While the next seed's instance is built, the evaluator holds no other."""
+        ev = FitnessEvaluator(SMALL_CONFIG, SMALL_SCENARIO)
+        old = weakref.ref(ev.instance(1))
+        held = []
+
+        def generate(config, seed):
+            held.append(old())
+            return generate_instance(config, seed=seed)
+
+        monkeypatch.setattr(gp_module, "generate_instance", generate)
+        assert ev.instance(2).seed == 2
+        assert held == [None]
 
     def test_identical_genomes_get_identical_fitness(self):
         ev = FitnessEvaluator(SMALL_CONFIG, SMALL_SCENARIO)

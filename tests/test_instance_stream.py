@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import statistics
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -226,6 +227,49 @@ def test_wide_shop_spans_several_key_blocks():
     inst = generate_instance(config, seed=3)
     assert len(inst.workload) * config.num_machines > instance_mod._KEY_BLOCK
     assert_invariants(inst)
+
+
+def test_default_instance_holds_each_distinct_number_once():
+    """Repeated values share one float object; npt takes median's objects and one 0.0."""
+    inst = generate_instance(SimConfig(), seed=1)
+    for column in (inst.workload, inst.proc_times):
+        assert len({id(x) for x in column}) == len(set(column))
+    medians = {id(x) for x in inst.median}
+    zeros = [x for x in inst.npt if id(x) not in medians]
+    assert len(zeros) == len(inst.release) and all(x is zeros[0] for x in zeros) and zeros[0] == 0.0
+
+
+def test_default_instance_memory():
+    """A default 5,000-job instance takes 12.3 MB when every entry is its own object."""
+    tracemalloc.start()
+    try:
+        inst = generate_instance(SimConfig(), seed=1)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(inst.release) == 5000
+    assert size < 8e6
+
+
+def test_wide_shop_holds_each_distance_once():
+    """Distances and travel times: one object per distinct value, not m * m."""
+    config = SimConfig(num_machines=1000, total_jobs=20, warmup_jobs=2)
+    inst = generate_instance(config, seed=5)
+    lo, hi = config.distance_range
+    rows = (inst.entry_distances, *inst.machine_distances)
+    assert len({id(d) for row in rows for d in row}) <= (hi - lo + 1) + 1  # and one 0.0
+    assert len({id(t) for row in inst.travel for t in row if t}) <= hi - lo + 1
+    assert inst.travel == tuple(tuple(d / config.transport_speed for d in row) for row in rows)
+
+
+def test_travel_divides_every_zero():
+    """0, 0.0 and -0.0 are equal keys but travel as 0.0, 0.0 and -0.0."""
+    inst = generate_instance(SimConfig(num_machines=3, total_jobs=10, warmup_jobs=1), seed=1)
+    odd = replace(
+        inst, entry_distances=(-0.0, 0, 35.0), machine_distances=((0.0, 35, 35.0), *inst.machine_distances[1:])
+    )
+    rows = (odd.entry_distances, *odd.machine_distances)
+    assert repr(odd.travel) == repr(tuple(tuple(d / 5.0 for d in row) for row in rows))
 
 
 def test_eligible_sets_are_uniform():
