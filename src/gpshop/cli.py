@@ -76,6 +76,7 @@ def cmd_gen_instance(args) -> int:
     if overrides:
         sim = sim.with_overrides(**overrides)
     instance = generate_instance(sim)
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     dump_instance(instance, args.out)
     print(f"wrote {args.out}: {len(instance.release)} jobs on {sim.num_machines} machines (seed {sim.seed})")
     return 0
@@ -98,14 +99,14 @@ def _request_seeds(cfg: AppConfig, scenario: Scenario, args, path: str) -> Extra
     """Prompt the model for seed pairs, then write what it sent to ``path``.
 
     The file lists the accepted pairs, with the rejected candidates' causes
-    as comments and any insights in ``path + ".insights.txt"``; the
-    provider's audit log goes to ``path + ".audit.jsonl"``.
+    as comments and any insights in ``path + ".insights.txt"``; the model
+    call's audit goes to ``path + ".audit.jsonl"`` as it runs.
     """
-    provider = _provider_from_args(cfg, args).with_audit(path + ".audit.jsonl")
+    provider = _provider_from_args(cfg, args)
     references = load_references(args.references) if args.references else []
     n = args.n if args.n is not None else cfg.provider.n_requested
     prompt = build_init_prompt(scenario, references, n_requested=n)
-    extraction = extract_heuristics(query(provider, prompt))
+    extraction = extract_heuristics(query(provider, prompt, path + ".audit.jsonl"))
     comments = [f"accepted: {len(extraction.accepted)}", f"rejected: {len(extraction.rejected)}"]
     comments += [f"  candidate {i}: {r.cause}" for i, r in enumerate(extraction.rejected, start=1)]
     dump_rule_pairs(path, extraction.accepted, comments)
@@ -206,7 +207,6 @@ def cmd_evolve(args) -> int:
 def cmd_init_llm(args) -> int:
     cfg = load_config(args.config)
     scenario = cfg.scenario(args.scenario)
-    # The provider appends its audit log beside --out from the first call.
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     extraction = _request_seeds(cfg, scenario, args, args.out)
     print(
@@ -226,7 +226,9 @@ def cmd_explain(args) -> int:
     test_score = None
     if args.evaluate:
         test_score = FitnessEvaluator(cfg.sim, scenario).test_performance(pairs[0])
-    report = generate_report(pairs[0], scenario, provider, test_score=test_score)
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
+    audit_path = args.out + ".audit.jsonl"
+    report = generate_report(pairs[0], scenario, provider, test_score=test_score, audit_path=audit_path)
     write_text_atomic(args.out, report.text)
     if not report.narrative_ok:
         print(f"narrative unavailable ({report.error}); wrote appendix-only report to {args.out}", file=sys.stderr)

@@ -13,7 +13,6 @@ from .provider import (
     ProviderError,
     ProviderProtocolError,
     ProviderTimeoutError,
-    build_request,
     query,
 )
 from .report import ReportResult, generate_report
@@ -29,7 +28,6 @@ __all__ = [
     "ProviderAuthError",
     "ProviderTimeoutError",
     "ProviderProtocolError",
-    "build_request",
     "query",
     "ExtractionResult",
     "RejectedCandidate",

@@ -21,7 +21,6 @@ _INSIGHTS = re.compile(r"(?m)^INSIGHTS:\s*")
 
 @dataclass(frozen=True)
 class RejectedCandidate:
-    snippet: str
     cause: str
 
 
@@ -32,7 +31,6 @@ class ExtractionResult:
     accepted: list[RulePair] = field(default_factory=list)
     rejected: list[RejectedCandidate] = field(default_factory=list)
     insights: str = ""
-    raw: str = ""
 
     @property
     def candidates(self) -> int:
@@ -41,16 +39,15 @@ class ExtractionResult:
 
 def extract_heuristics(reply: str) -> ExtractionResult:
     """Scan a reply for fenced rule pairs; never raises on bad candidates."""
-    result = ExtractionResult(raw=reply)
+    result = ExtractionResult()
     for block in _FENCE.findall(reply):
         if not has_rule_line(block):
             continue  # fenced prose, not a candidate
-        snippet = block.strip()
         try:
             pair = rules_from_text(block)
             check_depth(pair)
         except DataError as exc:
-            result.rejected.append(RejectedCandidate(snippet=snippet, cause=str(exc)))
+            result.rejected.append(RejectedCandidate(cause=str(exc)))
             continue
         result.accepted.append(pair)
     prose = _FENCE.sub("", reply)

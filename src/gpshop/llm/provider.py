@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import ConfigError
 from .prompts import PromptSpec
@@ -43,7 +43,6 @@ class ProviderConfig:
     ``credential_env`` names the environment variable holding the API key;
     the key itself is never stored or audited.  ``retry_budget`` counts
     retries after the first attempt, so budget 2 means at most 3 attempts.
-    ``audit_path``, when set, receives one JSON line per attempt.
     ``n_requested`` is how many pairs ``init-llm`` and ``evolve --init
     llm`` ask for when ``--n`` is not given.  These defaults are the
     config file's ``llm`` section when it leaves a key out.
@@ -56,7 +55,6 @@ class ProviderConfig:
     max_reply_tokens: int = 4096
     timeout: float = 60.0
     retry_budget: int = 2
-    audit_path: str | None = None
     n_requested: int = 100
 
     def __post_init__(self):
@@ -70,27 +68,6 @@ class ProviderConfig:
             raise ConfigError("endpoint must be set")
         if not isinstance(self.n_requested, int) or self.n_requested < 1:
             raise ConfigError(f"n_requested must be a positive integer, got {self.n_requested!r}")
-
-    @property
-    def is_mock(self) -> bool:
-        return self.endpoint.startswith("mock:")
-
-    @property
-    def mock_dir(self) -> str:
-        return self.endpoint[len("mock:"):]
-
-    def with_audit(self, path: str | None) -> "ProviderConfig":
-        return replace(self, audit_path=path)
-
-
-def build_request(provider: ProviderConfig, prompt: PromptSpec) -> dict:
-    """The JSON payload sent to the endpoint (credential excluded)."""
-    return {
-        "model": provider.model,
-        "messages": [{"role": "user", "content": prompt.text}],
-        "temperature": provider.temperature,
-        "max_tokens": provider.max_reply_tokens,
-    }
 
 
 def _http_post(url: str, payload: dict, headers: dict, timeout: float):
@@ -124,22 +101,24 @@ def _http_post(url: str, payload: dict, headers: dict, timeout: float):
     return status, data
 
 
-def _audit(provider: ProviderConfig, record: dict) -> None:
-    if provider.audit_path is None:
+def _audit(audit_path: str | None, record: dict) -> None:
+    if audit_path is None:
         return
     line = json.dumps(record, sort_keys=True)
-    with open(provider.audit_path, "a", encoding="utf-8") as fh:
+    with open(audit_path, "a", encoding="utf-8") as fh:
         fh.write(line + "\n")
 
 
-def query(provider: ProviderConfig, prompt: PromptSpec) -> str:
+def query(provider: ProviderConfig, prompt: PromptSpec, audit_path: str | None = None) -> str:
     """Send one prompt, return the reply text.
 
     Mock endpoints read ``<digest>.txt`` from the mock directory and never
     touch the network or any credential.  Real endpoints check the
     credential first (auth errors happen before any request), then retry
     timeouts, connection failures and 429/5xx statuses up to the budget.
-    Every attempt is appended to the audit log.
+    When ``audit_path`` is given, every attempt appends one JSON line to
+    it: the prompt digest and kind, the attempt number, its status, the
+    request sent and the reply received, never the credential.
     """
     base = {
         "endpoint": provider.endpoint,
@@ -147,63 +126,67 @@ def query(provider: ProviderConfig, prompt: PromptSpec) -> str:
         "digest": prompt.digest,
         "kind": prompt.kind,
     }
-    if provider.is_mock:
-        path = os.path.join(provider.mock_dir, prompt.digest + ".txt")
+    if provider.endpoint.startswith("mock:"):
+        path = os.path.join(provider.endpoint[len("mock:"):], prompt.digest + ".txt")
         try:
             with open(path, encoding="utf-8") as fh:
                 reply = fh.read()
         except OSError:
-            _audit(provider, dict(base, attempt=1, status="missing-canned-reply"))
+            _audit(audit_path, dict(base, attempt=1, status="missing-canned-reply"))
             raise ProviderProtocolError(
                 f"mock provider has no canned reply for digest {prompt.digest} "
                 f"(expected file {path})"
             ) from None
-        _audit(provider, dict(base, attempt=1, status="ok", reply=reply))
+        _audit(audit_path, dict(base, attempt=1, status="ok", reply=reply))
         return reply
 
     from urllib.error import URLError  # deferred with the transport itself
 
     key = os.environ.get(provider.credential_env)
     if not key:
-        _audit(provider, dict(base, attempt=0, status="auth-error"))
+        _audit(audit_path, dict(base, attempt=0, status="auth-error"))
         raise ProviderAuthError(
             f"credential environment variable {provider.credential_env!r} is not set"
         )
-    payload = build_request(provider, prompt)
+    payload = {
+        "model": provider.model,
+        "messages": [{"role": "user", "content": prompt.text}],
+        "temperature": provider.temperature,
+        "max_tokens": provider.max_reply_tokens,
+    }
     headers = {"Authorization": f"Bearer {key}"}
     attempts = provider.retry_budget + 1
-    failure = "no attempt made"
     for attempt in range(1, attempts + 1):
+        # One status per attempt, then a failure to retry, an error to raise or the reply.
+        error = None
         try:
-            status, data = _http_post(provider.endpoint, payload, headers, provider.timeout)
+            code, data = _http_post(provider.endpoint, payload, headers, provider.timeout)
         except TimeoutError:
-            failure = "timeout"
-            _audit(provider, dict(base, attempt=attempt, status="timeout", request=payload))
-            continue
+            status, failure = "timeout", "timeout"
         except URLError as exc:
-            failure = f"connection error: {exc}"
-            _audit(provider, dict(base, attempt=attempt, status="connection-error", request=payload))
-            continue
-        if status == 429 or status >= 500:
-            failure = f"http {status}"
-            _audit(provider, dict(base, attempt=attempt, status=f"http-{status}", request=payload))
-            continue
-        if status in (401, 403):
-            _audit(provider, dict(base, attempt=attempt, status=f"http-{status}", request=payload))
-            raise ProviderAuthError(f"endpoint rejected the credential (http {status})")
-        if status != 200:
-            _audit(provider, dict(base, attempt=attempt, status=f"http-{status}", request=payload))
-            raise ProviderProtocolError(f"unexpected http status {status}")
-        try:
-            reply = data["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError):
-            _audit(provider, dict(base, attempt=attempt, status="malformed-reply", request=payload))
-            raise ProviderProtocolError(
-                "reply is not a chat completion (missing choices[0].message.content)"
-            ) from None
-        if not isinstance(reply, str):
-            _audit(provider, dict(base, attempt=attempt, status="malformed-reply", request=payload))
-            raise ProviderProtocolError("reply content is not text")
-        _audit(provider, dict(base, attempt=attempt, status="ok", request=payload, reply=reply))
-        return reply
+            status, failure = "connection-error", f"connection error: {exc}"
+        else:
+            status, failure = f"http-{code}", f"http {code}"
+            if code in (401, 403):
+                error = ProviderAuthError(f"endpoint rejected the credential (http {code})")
+            elif code == 200:
+                try:
+                    reply = data["choices"][0]["message"]["content"]
+                    if not isinstance(reply, str):
+                        error = ProviderProtocolError("reply content is not text")
+                except (KeyError, IndexError, TypeError):
+                    error = ProviderProtocolError(
+                        "reply is not a chat completion (missing choices[0].message.content)"
+                    )
+                status = "malformed-reply" if error else "ok"
+            elif code != 429 and code < 500:
+                error = ProviderProtocolError(f"unexpected http status {code}")
+        record = dict(base, attempt=attempt, status=status, request=payload)
+        if status == "ok":
+            record["reply"] = reply
+        _audit(audit_path, record)
+        if error is not None:
+            raise error
+        if status == "ok":
+            return reply
     raise ProviderTimeoutError(f"gave up after {attempts} attempts; last failure: {failure}")

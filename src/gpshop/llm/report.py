@@ -50,17 +50,19 @@ def generate_report(
     scenario: Scenario,
     provider: ProviderConfig,
     test_score: float | None = None,
+    audit_path: str | None = None,
 ) -> ReportResult:
     """Ask the model to explain ``best``; degrade gracefully if it cannot.
 
     The appendix (genome text, tree metrics, terminal histogram, optional
     held-out score) is always computed locally, so the report stays useful
     even when the provider fails; the failure is still surfaced via
-    ``narrative_ok`` so callers can exit nonzero.
+    ``narrative_ok`` so callers can exit nonzero.  ``audit_path`` is
+    passed to ``query``.
     """
     prompt = build_explain_prompt(best, scenario)
     try:
-        narrative = query(provider, prompt).strip()
+        narrative = query(provider, prompt, audit_path).strip()
         ok, error = True, None
     except ProviderError as exc:
         narrative = NARRATIVE_UNAVAILABLE

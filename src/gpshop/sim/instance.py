@@ -324,6 +324,7 @@ def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
         right = shared_distances(start, start + m - 1 - i)
         machine_distances.append(tuple([row[i] for row in machine_distances] + [0.0] + right))
         start += m - 1 - i
+    del distances  # the matrix holds every distance now
 
     cand_start = np.concatenate(([0], np.cumsum(sizes)))
     op_start = np.concatenate(([0], np.cumsum(n_ops, dtype=np.int64)))
@@ -331,7 +332,8 @@ def generate_instance(config: SimConfig, seed: int | None = None) -> Instance:
         rates, releases, op_start, workloads, cand_start, machines, config.due_date_factor
     )
     try:
-        _check_magnitudes(releases, due, weights, proc_times, distances / config.transport_speed)
+        # Distances are non-negative, so the largest travel time decides the bound.
+        _check_magnitudes(releases, due, weights, proc_times, [max(distinct) / config.transport_speed])
     except ValueError as exc:
         raise ConfigError(f"the config generates an out-of-range instance: {exc}") from exc
 
@@ -439,7 +441,7 @@ def _check_instance(instance: Instance) -> None:
         raise ValueError(f"expected {config.total_jobs} jobs, found {len(instance.release)}")
     _check_magnitudes(
         instance.release, instance.due, instance.weight, instance.proc_times,
-        [d / config.transport_speed for row in (instance.entry_distances, *instance.machine_distances) for d in row],
+        [max(map(max, (instance.entry_distances, *instance.machine_distances))) / config.transport_speed],
     )
     weights = {w for w, _ in config.weight_mix}
     op_start, cand_start = instance.op_start, instance.cand_start

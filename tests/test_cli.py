@@ -131,6 +131,12 @@ class TestGenInstance:
         assert main(["gen-instance", "--jobs", "80", "--seed", "3", "--out", str(out)]) == 0
         assert out.read_bytes() == first
 
+    def test_out_in_a_missing_directory(self, ws, tmp_path, capsys):
+        out = tmp_path / "missing" / "inst.jsonl"
+        assert main(["gen-instance", "--jobs", "20", "--seed", "3", "--out", str(out)]) == 0
+        assert "wrote" in capsys.readouterr().out
+        assert len(load_instance(str(out)).release) == 20
+
     def test_bad_values_exit_2(self, ws, capsys):
         assert main(["gen-instance", "--jobs", "0", "--out", str(ws / "x.jsonl")]) == 2
         assert main(["gen-instance", "--utilization", "1.2", "--out", str(ws / "x.jsonl")]) == 2
@@ -603,6 +609,15 @@ class TestInitLlm:
         audit = (out.parent / "seeds.txt.audit.jsonl").read_text().splitlines()
         assert json.loads(audit[0])["status"] == "ok"
 
+    def test_audit_path_key_exit_2(self, tmp_path, capsys):
+        """Each command writes its audit beside its own output, so ``llm.audit_path`` is no setting."""
+        config = tmp_path / "audit.yaml"
+        config.write_text("llm: {audit_path: x.jsonl}\n")
+        out = tmp_path / "seeds.txt"
+        assert main(["init-llm", "--config", str(config), "--provider", f"mock:{tmp_path}", "--out", str(out)]) == 2
+        assert "config error: llm: unknown key 'audit_path'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_n_changes_the_prompt(self, ws, tmp_path):
         # No canned reply exists for n=7, so the mock lookup must miss.
         argv = [
@@ -641,6 +656,27 @@ class TestExplain:
         assert "## Appendix (machine generated)" in text
         assert "- TRANT: 1" in text
         assert "Held-out test fitness" not in text
+        assert "wrote" in capsys.readouterr().out
+
+    def test_audit_beside_the_report(self, ws, best_file, tmp_path):
+        out = tmp_path / "report.md"
+        argv = [
+            "explain", "--config", str(ws / "tiny.yaml"), "--best", str(best_file),
+            "--provider", f"mock:{ws / 'mock'}", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        records = [json.loads(line) for line in (tmp_path / "report.md.audit.jsonl").read_text().splitlines()]
+        assert [(r["status"], r["kind"]) for r in records] == [("ok", "explain")]
+
+    def test_out_in_a_missing_directory(self, ws, best_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.md"
+        argv = [
+            "explain", "--config", str(ws / "tiny.yaml"), "--best", str(best_file),
+            "--provider", f"mock:{ws / 'mock'}", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        assert "Short queues win." in out.read_text()
+        assert (out.parent / "report.md.audit.jsonl").exists()
         assert "wrote" in capsys.readouterr().out
 
     def test_evaluate_flag_appends_test_score(self, ws, best_file, tmp_path):

@@ -314,3 +314,15 @@ def test_dump_digest_is_pinned(tmp_path, config, seed, digest):
     path = tmp_path / "instance.jsonl"
     dump_instance(generate_instance(config, seed=seed), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_wide_shop_generation_peak():
+    """The value bound reads the largest travel time, not an m * m array of them."""
+    config = SimConfig(num_machines=1000, total_jobs=20, warmup_jobs=2)
+    tracemalloc.start()
+    try:
+        generate_instance(config, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 19e6

@@ -269,9 +269,9 @@ class TestQuery:
         spy = SpyTransport([TimeoutError(), TimeoutError(), TimeoutError()])
         monkeypatch.setattr(provider_mod, "_http_post", spy)
         audit = tmp_path / "audit.jsonl"
-        cfg = ProviderConfig(retry_budget=2, audit_path=str(audit))
+        cfg = ProviderConfig(retry_budget=2)
         with pytest.raises(ProviderTimeoutError, match="3 attempts"):
-            query(cfg, prompt)
+            query(cfg, prompt, str(audit))
         assert len(spy.calls) == 3
         records = [json.loads(line) for line in audit.read_text().splitlines()]
         assert [r["status"] for r in records] == ["timeout"] * 3
@@ -311,8 +311,8 @@ class TestQuery:
 
     def test_mock_audit_written(self, tmp_path, prompt):
         audit = tmp_path / "a.jsonl"
-        cfg = write_mock(tmp_path, prompt, "x").with_audit(str(audit))
-        query(cfg, prompt)
+        cfg = write_mock(tmp_path, prompt, "x")
+        query(cfg, prompt, str(audit))
         record = json.loads(audit.read_text().splitlines()[0])
         assert record["status"] == "ok"
         assert record["reply"] == "x"
@@ -324,10 +324,73 @@ class TestQuery:
             sock.bind(("127.0.0.1", 0))
             port = sock.getsockname()[1]
         audit = tmp_path / "audit.jsonl"
-        cfg = ProviderConfig(endpoint=f"http://127.0.0.1:{port}/", retry_budget=1, audit_path=str(audit))
+        cfg = ProviderConfig(endpoint=f"http://127.0.0.1:{port}/", retry_budget=1)
         with pytest.raises(ProviderTimeoutError, match="connection error"):
-            query(cfg, prompt)
+            query(cfg, prompt, str(audit))
         assert [json.loads(line)["status"] for line in audit.read_text().splitlines()] == ["connection-error"] * 2
+
+    # (attempt, status, has request, has reply) for each audit line, in order.
+    AUDIT_OUTCOMES = {
+        "timeout": (
+            [TimeoutError()] * 3, ProviderTimeoutError,
+            [(1, "timeout", True, False), (2, "timeout", True, False), (3, "timeout", True, False)],
+        ),
+        "url-error": (
+            [urllib.error.URLError("refused")] * 3, ProviderTimeoutError,
+            [(i, "connection-error", True, False) for i in (1, 2, 3)],
+        ),
+        "http-429": ([(429, None)] * 3, ProviderTimeoutError, [(i, "http-429", True, False) for i in (1, 2, 3)]),
+        "500-then-ok": ([(500, None), ok_reply("fine")], None, [(1, "http-500", True, False), (2, "ok", True, True)]),
+        "http-401": ([(401, None)], ProviderAuthError, [(1, "http-401", True, False)]),
+        "http-403": ([(403, None)], ProviderAuthError, [(1, "http-403", True, False)]),
+        "http-418": ([(418, {"error": "teapot"})], ProviderProtocolError, [(1, "http-418", True, False)]),
+        "no-choices": ([(200, {"id": "x"})], ProviderProtocolError, [(1, "malformed-reply", True, False)]),
+        "content-not-text": (
+            [(200, {"choices": [{"message": {"content": 5}}]})], ProviderProtocolError,
+            [(1, "malformed-reply", True, False)],
+        ),
+        "missing-credential": ([], ProviderAuthError, [(0, "auth-error", False, False)]),
+        "mock-ok": ([], None, [(1, "ok", False, True)]),
+        "mock-missing-reply": ([], ProviderProtocolError, [(1, "missing-canned-reply", False, False)]),
+    }
+
+    @pytest.mark.parametrize("outcome", sorted(AUDIT_OUTCOMES))
+    def test_one_audit_line_per_attempt(self, outcome, prompt, monkeypatch, tmp_path):
+        transport, error, expected = self.AUDIT_OUTCOMES[outcome]
+        audit = tmp_path / "audit.jsonl"
+        if outcome == "missing-credential":
+            monkeypatch.delenv("LLM_API_KEY", raising=False)
+        else:
+            monkeypatch.setenv("LLM_API_KEY", "sk-secret")
+        monkeypatch.setattr(provider_mod, "_http_post", SpyTransport(transport))
+        if outcome == "mock-ok":
+            cfg = write_mock(tmp_path, prompt, "canned")
+        elif outcome == "mock-missing-reply":
+            cfg = ProviderConfig(endpoint=f"mock:{tmp_path}")
+        else:
+            cfg = ProviderConfig(retry_budget=2)
+        if error is None:
+            query(cfg, prompt, str(audit))
+        else:
+            with pytest.raises(error):
+                query(cfg, prompt, str(audit))
+        text = audit.read_text()
+        assert "sk-secret" not in text
+        records = [json.loads(line) for line in text.splitlines()]
+        assert [(r["attempt"], r["status"], "request" in r, "reply" in r) for r in records] == expected
+        for r in records:
+            assert {k: r[k] for k in ("endpoint", "model", "digest", "kind")} == {
+                "endpoint": cfg.endpoint, "model": cfg.model, "digest": prompt.digest, "kind": prompt.kind,
+            }
+            assert set(r) <= {"endpoint", "model", "digest", "kind", "attempt", "status", "request", "reply"}
+            if "request" in r:
+                assert r["request"]["messages"] == [{"role": "user", "content": prompt.text}]
+
+    def test_audit_path_is_no_config_key(self, tmp_path):
+        config = tmp_path / "audit.yaml"
+        config.write_text("llm: {audit_path: x}\n")
+        with pytest.raises(ConfigError, match="unknown key 'audit_path'"):
+            load_config(str(config))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -457,7 +520,6 @@ class TestExtraction:
         assert "sequencing" in result.rejected[1].cause
         assert result.insights.startswith("Balance queue load")
         assert "generalize" in result.insights
-        assert result.raw == GOOD_REPLY
 
     def test_prose_only_reply(self):
         result = extract_heuristics("No code here, just words.")
