@@ -236,27 +236,24 @@ def summarize(
     """
     if not records:
         raise DataError("summarize needs at least one record")
-    seen = set()
+    grouped: dict[tuple[str, str], dict[int, float]] = {}  # (method, scenario) -> {seed: fitness}
     for r in records:
-        key = (r.method, r.scenario, r.seed)
-        if key in seen:
-            raise DataError(f"duplicate record for {key}")
-        seen.add(key)
-    methods = sorted({r.method for r in records})
+        cell = grouped.setdefault((r.method, r.scenario), {})
+        if r.seed in cell:
+            raise DataError(f"duplicate record for {(r.method, r.scenario, r.seed)}")
+        cell[r.seed] = r.fitness
+    methods = sorted({m for m, _ in grouped})
     if baseline not in methods:
         raise DataError(f"baseline {baseline!r} has no records")
     methods.remove(baseline)
     methods.insert(0, baseline)
-    scenarios = sorted({r.scenario for r in records})
+    scenarios = sorted({sc for _, sc in grouped})
 
     samples: dict[tuple[str, str], list[float]] = {}
     for m in methods:
         for sc in scenarios:
-            runs = sorted(
-                (r for r in records if r.method == m and r.scenario == sc),
-                key=lambda r: r.seed,
-            )
-            samples[(m, sc)] = [r.fitness for r in runs]
+            runs = grouped.get((m, sc), {})
+            samples[(m, sc)] = [runs[seed] for seed in sorted(runs)]
     counts = {key: len(vals) for key, vals in samples.items()}
     expected = counts[(methods[0], scenarios[0])]
     offending = sorted(key for key, cnt in counts.items() if cnt != expected)

@@ -64,6 +64,8 @@ def cmd_gen_instance(args) -> int:
     sim = cfg.sim
     overrides = {}
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed must be >= 0")
         overrides["seed"] = args.seed
     if args.jobs is not None:
         if args.jobs < 1:
@@ -145,7 +147,7 @@ def _evolve_one_run(run_index: int, run_seed: int, *, scenario: Scenario, sim: S
         "train_fitness": best.fitness,
         "test_fitness": test_fitness,
         "test_aborted": evaluator.test_aborted(best.genome),
-        "evaluations": evaluator.evaluations,
+        "evaluations": gp.population_size * max(gp.generations, 1),
     }
     record_path = os.path.join(outdir, f"run-{run_index}.jsonl")
     write_run_record(record_path, meta, log, result)
@@ -168,6 +170,8 @@ def cmd_evolve(args) -> int:
         raise ConfigError("--jobs must be >= 1")
     if args.run_offset < 0:
         raise ConfigError("--run-offset must be >= 0")
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     os.makedirs(args.out, exist_ok=True)
 
     if args.init == "random":

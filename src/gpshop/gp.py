@@ -92,7 +92,6 @@ class GPParams:
 class Individual:
     genome: RulePair
     fitness: float | None = None
-    origin: str = "random"  # random | llm-seeded | crossover | mutation | reproduction
 
 
 @dataclass(frozen=True)
@@ -163,7 +162,7 @@ def init_seeded(
     whose trees exceed the depth cap are rejected with index and cause
     (the caller decides whether to refill or fail).
     """
-    accepted: list[Individual] = []
+    accepted: list[RulePair] = []
     rejections: list[SeedRejection] = []
     for index, pair in enumerate(seed_rules):
         try:
@@ -172,10 +171,9 @@ def init_seeded(
             rejections.append(SeedRejection(index=index, cause=str(exc)))
             continue
         if len(accepted) < params.population_size:
-            accepted.append(Individual(genome=pair, origin="llm-seeded"))
+            accepted.append(pair)
     filler = _ramped_pairs(params.population_size - len(accepted), params, rng)
-    population = accepted + [Individual(genome=pair) for pair in filler]
-    return population, rejections
+    return [Individual(genome=pair) for pair in accepted + filler], rejections
 
 
 # -------------------------------------------------------------- evaluation
@@ -189,8 +187,8 @@ class FitnessEvaluator:
     held-out scores and the reference objectives that normalise
     multi-objective fitness all read it; only an aborted reference run is
     repeated without the guard, memoised apart, to normalise the other
-    pairs.  ``evaluations`` counts every ``fitness`` call, memo hits
-    included.
+    pairs.  The memo is a cache, not state: a fresh evaluator scores
+    every (pair, seed) as the old one did.
 
     One instance suffices: a generation scores its population on one
     seed, and ``test_performance`` finishes each seed before the next.
@@ -203,7 +201,6 @@ class FitnessEvaluator:
         self.scenario = scenario
         # An order of magnitude above what well-behaved rules reach.
         self.max_queue = max(100, self.config.total_jobs // 10)
-        self.evaluations = 0
         self._instance: Instance | None = None
         self._outcomes: dict[tuple[RulePair, int, bool], ObjectiveVector | None] = {}
 
@@ -230,11 +227,7 @@ class FitnessEvaluator:
         return objectives if objectives is not None else self._objectives(reference, seed, guarded=False)
 
     def fitness(self, pair: RulePair, seed: int) -> float:
-        self.evaluations += 1
-        return self._fitness_on(pair, seed)
-
-    def _fitness_on(self, pair: RulePair, seed: int) -> float:
-        """Fitness of ``pair`` on ``seed`` from the memo; not counted in ``evaluations``."""
+        """Fitness of ``pair`` on ``seed``: the only scorer, for training and held-out seeds alike."""
         reference = self.reference_objectives(seed) if self.scenario.is_multi_objective else None
         objectives = self._objectives(pair, seed)
         return DEGENERATE_FITNESS if objectives is None else weighted_fitness(objectives, self.scenario, reference)
@@ -247,15 +240,14 @@ class FitnessEvaluator:
     def test_performance(self, pair: RulePair) -> float:
         """Mean fitness across the scenario's held-out test seeds.
 
-        Each seed is scored as ``fitness`` scores it, memo included, but
-        is not counted in ``evaluations``; the scores are summed in seed
+        Each seed is scored by ``fitness``; the scores are summed in seed
         order and divided once.  A seed whose simulation the queue guard
         aborted adds DEGENERATE_FITNESS (1e12) to that mean, like any
         aborted training simulation, so one such seed outweighs the rest.
         """
         total = 0.0
         for seed in self.scenario.test_seeds:
-            total += self._fitness_on(pair, seed)
+            total += self.fitness(pair, seed)
         return total / len(self.scenario.test_seeds)
 
     def test_aborted(self, pair: RulePair) -> int:
@@ -265,11 +257,7 @@ class FitnessEvaluator:
 
 # --------------------------------------------------------------- operators
 
-def tournament_select(
-    population: list[Individual],
-    rng: np.random.Generator,
-    k: int = 4,
-) -> Individual:
+def tournament_select(population: list[Individual], rng: np.random.Generator, k: int) -> Individual:
     """Best of k uniform-with-replacement contestants; ties to lower index."""
     n = len(population)
     best_idx = int(rng.integers(n))
@@ -300,41 +288,37 @@ def _uniform_node_path(tree: Expression, rng: np.random.Generator) -> tuple[int,
 
 
 def _with_slot(pair: RulePair, slot: int, tree: Expression) -> RulePair:
+    """``pair`` with ``tree`` in ``slot`` (0 routing, 1 sequencing), or ``pair`` itself if ``tree`` is deeper than MAX_DEPTH."""
+    if depth(tree) > MAX_DEPTH:
+        return pair
     if slot == 0:
         return RulePair(routing=tree, sequencing=pair.sequencing)
     return RulePair(routing=pair.routing, sequencing=tree)
 
 
-def crossover(a: Individual, b: Individual, rng: np.random.Generator) -> tuple[Individual, Individual]:
+def crossover(a: RulePair, b: RulePair, rng: np.random.Generator) -> tuple[RulePair, RulePair]:
     """Swap subtrees in one slot (routing or sequencing) of both parents.
 
-    A child whose tree would exceed the depth cap is replaced by its own
-    unmodified parent's genome.
+    Draws the slot, then a's crossover point, then b's.  A child whose
+    tree would exceed the depth cap is its own parent, unmodified.
     """
     slot = int(rng.integers(2))
-    tree_a = a.genome.routing if slot == 0 else a.genome.sequencing
-    tree_b = b.genome.routing if slot == 0 else b.genome.sequencing
+    tree_a = a.routing if slot == 0 else a.sequencing
+    tree_b = b.routing if slot == 0 else b.sequencing
     path_a = _biased_node_path(tree_a, rng)
     path_b = _biased_node_path(tree_b, rng)
     new_a = replace_subtree(tree_a, path_a, subtree_at(tree_b, path_b))
     new_b = replace_subtree(tree_b, path_b, subtree_at(tree_a, path_a))
-    genome_a = _with_slot(a.genome, slot, new_a) if depth(new_a) <= MAX_DEPTH else a.genome
-    genome_b = _with_slot(b.genome, slot, new_b) if depth(new_b) <= MAX_DEPTH else b.genome
-    return (
-        Individual(genome=genome_a, origin="crossover"),
-        Individual(genome=genome_b, origin="crossover"),
-    )
+    return _with_slot(a, slot, new_a), _with_slot(b, slot, new_b)
 
 
-def mutate(a: Individual, rng: np.random.Generator, params: GPParams) -> Individual:
-    """Replace a uniformly chosen subtree with a fresh grow subtree."""
+def mutate(pair: RulePair, rng: np.random.Generator, params: GPParams) -> RulePair:
+    """Replace a uniformly chosen subtree of one slot with a fresh grow subtree; a too-deep mutant is ``pair``."""
     slot = int(rng.integers(2))
-    tree = a.genome.routing if slot == 0 else a.genome.sequencing
+    tree = pair.routing if slot == 0 else pair.sequencing
     path = _uniform_node_path(tree, rng)
     fresh = random_tree(rng, "grow", params.mutation_grow_depth, params.terminal_rate)
-    mutated = replace_subtree(tree, path, fresh)
-    genome = _with_slot(a.genome, slot, mutated) if depth(mutated) <= MAX_DEPTH else a.genome
-    return Individual(genome=genome, origin="mutation")
+    return _with_slot(pair, slot, replace_subtree(tree, path, fresh))
 
 
 def phenotypic_diversity(population: list[Individual]) -> float:
@@ -347,38 +331,33 @@ def phenotypic_diversity(population: list[Individual]) -> float:
     return len(values) / len(population)
 
 
-def _breed(
-    population: list[Individual],
-    params: GPParams,
-    rng: np.random.Generator,
-) -> tuple[list[Individual], dict[str, int]]:
-    """Next generation: one elite copy, then rate-driven operator events."""
-    elite = min(population, key=lambda ind: ind.fitness)
-    out = [Individual(genome=elite.genome, origin=elite.origin)]
+def _breed(population: list[Individual], params: GPParams, rng: np.random.Generator) -> tuple[list[Individual], dict[str, int]]:
+    """Next generation: one elite copy, then rate-driven operator events.
+
+    Each event draws its parents' genomes by tournament (for crossover,
+    the first parent, then the second, then the operator's own draws);
+    the bred genomes become unevaluated individuals.
+    """
+    def parent() -> RulePair:
+        return tournament_select(population, rng, params.tournament_size).genome
+
+    genomes = [min(population, key=lambda ind: ind.fitness).genome]
     counts = {"crossover": 0, "mutation": 0, "reproduction": 0}
     n = params.population_size
-    k = params.tournament_size
     cx = params.crossover_rate
     mu = cx + params.mutation_rate
-    while len(out) < n:
+    while len(genomes) < n:
         r = rng.random()
         if r < cx:
-            p1 = tournament_select(population, rng, k)
-            p2 = tournament_select(population, rng, k)
-            c1, c2 = crossover(p1, p2, rng)
+            genomes.extend(crossover(parent(), parent(), rng))  # the second child may spill past n
             counts["crossover"] += 1
-            out.append(c1)
-            if len(out) < n:
-                out.append(c2)
         elif r < mu:
-            parent = tournament_select(population, rng, k)
-            out.append(mutate(parent, rng, params))
+            genomes.append(mutate(parent(), rng, params))
             counts["mutation"] += 1
         else:
-            parent = tournament_select(population, rng, k)
-            out.append(Individual(genome=parent.genome, origin="reproduction"))
+            genomes.append(parent())
             counts["reproduction"] += 1
-    return out, counts
+    return [Individual(genome=genome) for genome in genomes[:n]], counts
 
 
 # ---------------------------------------------------------------- evolve
@@ -421,7 +400,7 @@ def step(state: EvolutionState, params: GPParams, evaluator: FitnessEvaluator, r
         state.log.gen0_fitness = [ind.fitness for ind in population]
     gen_best = min(population, key=lambda ind: ind.fitness)
     if state.best is None or gen_best.fitness < state.best.fitness:
-        state.best = Individual(genome=gen_best.genome, fitness=gen_best.fitness, origin=gen_best.origin)
+        state.best = Individual(genome=gen_best.genome, fitness=gen_best.fitness)
     completed = [ind.fitness for ind in population if ind.fitness != DEGENERATE_FITNESS]
     state.log.entries.append(
         GenerationStats(

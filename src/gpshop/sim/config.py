@@ -22,9 +22,9 @@ def config_from_mapping(cls, section: str, mapping: Any, **fixed):
 
     ``fixed`` fields are set by the caller and may not appear in the
     mapping.  Raises ConfigError, prefixed with ``section``, if the value is
-    not a mapping, has a key that is not a field, gives a boolean to a
-    field annotated ``int`` (``bool`` is an ``int`` subclass, so ``cls``
-    would take YAML's ``true`` as 1), or is rejected by ``cls``.
+    not a mapping, has a key that is not a field, gives a field annotated
+    ``int`` a value whose type is not ``int`` (a float such as 6.5, or a
+    boolean, which ``cls`` would take as 1), or is rejected by ``cls``.
     """
     if not isinstance(mapping, Mapping):
         raise ConfigError(f"{section}: expected a mapping")
@@ -33,7 +33,7 @@ def config_from_mapping(cls, section: str, mapping: Any, **fixed):
     for key, value in mapping.items():
         if key not in known:
             raise ConfigError(f"{section}: unknown key {key!r}")
-        if key in ints and isinstance(value, bool):
+        if key in ints and type(value) is not int:
             raise ConfigError(f"{section}: {key} must be an integer, got {value!r}")
     try:
         return cls(**{k: _as_tuples(v) for k, v in mapping.items()}, **fixed)
@@ -70,6 +70,8 @@ class SimConfig:
             raise ConfigError("num_machines must be >= 1")
         if self.total_jobs < 1:
             raise ConfigError("total_jobs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (0 <= self.warmup_jobs < self.total_jobs):
             raise ConfigError("warmup_jobs must satisfy 0 <= warmup < total_jobs")
         if not (0.0 < self.utilization < 1.0):
@@ -134,6 +136,10 @@ class Scenario:
             raise ConfigError("scenario utilization must lie in (0, 1)")
         if not self.training_seeds or not self.test_seeds:
             raise ConfigError("training and test seed lists must be non-empty")
+        for name in ("training_seeds", "test_seeds"):
+            for seed in getattr(self, name):
+                if type(seed) is not int or seed < 0:
+                    raise ConfigError(f"{name} must hold non-negative integers, got {seed!r}")
 
     @property
     def is_multi_objective(self) -> bool:

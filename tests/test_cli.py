@@ -512,12 +512,24 @@ class TestEvolve:
         assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
         assert f"config error: {fragment}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section, key", [("gp", "population_size"), ("llm", "n_requested")])
-    def test_boolean_for_an_integer_exit_2(self, tmp_path, capsys, section, key):
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            pytest.param("gp", "population_size", "true", id="gp-population_size"),
+            pytest.param("llm", "n_requested", "true", id="llm-n_requested"),
+            pytest.param("gp", "population_size", "6.5", id="gp-population_size-float"),
+            pytest.param("gp", "tournament_size", "2.5", id="gp-tournament_size-float"),
+            pytest.param("sim", "total_jobs", "60.5", id="sim-total_jobs-float"),
+            pytest.param("sim", "num_machines", "3.5", id="sim-num_machines-float"),
+        ],
+    )
+    def test_boolean_for_an_integer_exit_2(self, tmp_path, capsys, section, key, value):
+        """Only an ``int`` fills an integer setting: YAML's ``true`` and a float exit 2 alike."""
         config = tmp_path / "bad.yaml"
-        config.write_text(f"{section}: {{{key}: true}}\n")
+        config.write_text(f"{section}: {{{key}: {value}}}\n")
         assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
-        assert f"config error: {section}: {key} must be an integer, got True" in capsys.readouterr().err
+        shown = "True" if value == "true" else value
+        assert f"config error: {section}: {key} must be an integer, got {shown}" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     def test_dropped_max_depth_key_exit_2(self, tmp_path, capsys):
@@ -535,6 +547,45 @@ class TestEvolve:
         assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
         assert "config error: gp: mutation_grow_depth must be a pair of integers" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "command, edit, fragment",
+        [
+            (["evolve", "--seed", "-1"], None, "--seed must be >= 0"),
+            (["gen-instance", "--seed", "-3"], None, "--seed must be >= 0"),
+            (["evolve"], ("warmup_jobs: 4", "warmup_jobs: 4\n  seed: -3"), "sim: seed must be >= 0"),
+            (["evolve"], ("training_seeds: [1]", "training_seeds: [1.5]"),
+             "scenarios.tiny: training_seeds must hold non-negative integers, got 1.5"),
+            (["evolve"], ("training_seeds: [1]", "training_seeds: [-1]"),
+             "scenarios.tiny: training_seeds must hold non-negative integers, got -1"),
+            (["evolve"], ("training_seeds: [1]", "training_seeds: ['a']"),
+             "scenarios.tiny: training_seeds must hold non-negative integers, got 'a'"),
+            (["evolve"], ("test_seeds: [2]", "test_seeds: [true]"),
+             "scenarios.tiny: test_seeds must hold non-negative integers, got True"),
+        ],
+        ids=["evolve-seed", "gen-instance-seed", "sim-seed", "training-float", "training-negative",
+             "training-string", "test-boolean"],
+    )
+    def test_seed_not_a_non_negative_integer_exit_2(self, tmp_path, capsys, command, edit, fragment):
+        """Seeds enter through the command line, ``sim.seed`` and the scenarios; each is checked on entry."""
+        config = tmp_path / "seeds.yaml"
+        config.write_text(TINY_YAML.replace(*edit) if edit else TINY_YAML)
+        out = tmp_path / "out"
+        assert main(command + ["--config", str(config), "--out", str(out)]) == 2
+        assert fragment in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("generations, evaluations", [(0, 6), (2, 12)])
+    def test_evaluations_are_the_budget(self, tmp_path, capsys, generations, evaluations):
+        """The record's ``evaluations`` is population_size x max(generations, 1), here with population 6."""
+        config = tmp_path / "budget.yaml"
+        config.write_text(TINY_YAML.replace("generations: 1", f"generations: {generations}"))
+        out = tmp_path / "runs"
+        assert main(["evolve", "--config", str(config), "--seed", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        record = read_run_record(str(out / "run-0.jsonl"))
+        assert len(record.log.entries) == generations
+        assert record.result["evaluations"] == evaluations
 
     def test_negative_run_offset_exit_2(self, ws, tmp_path, capsys):
         out = tmp_path / "r"

@@ -132,7 +132,6 @@ class TestInitialization:
         rng = np.random.default_rng(0)
         pop = init_random(GPParams(), rng)
         assert len(pop) == 100
-        assert all(ind.origin == "random" for ind in pop)
         levels = [2, 3, 4, 5, 6]
         per_level = {lv: 0 for lv in levels}
         for i, ind in enumerate(pop):
@@ -165,9 +164,6 @@ class TestInitialization:
         assert len(pop) == 10
         assert pop[0].genome == seeds[0]
         assert pop[1].genome == seeds[1]
-        assert pop[0].origin == "llm-seeded"
-        assert pop[1].origin == "llm-seeded"
-        assert all(ind.origin == "random" for ind in pop[2:])
 
     def test_seeded_rejects_overdeep_trees(self):
         rng = np.random.default_rng(3)
@@ -181,7 +177,6 @@ class TestInitialization:
         assert rejections[0].index == 1
         assert "depth" in rejections[0].cause
         assert "9 > 8" in rejections[0].cause
-        assert all(ind.origin == "random" for ind in pop[1:])
 
     def test_seeded_truncates_surplus(self):
         rng = np.random.default_rng(4)
@@ -189,7 +184,6 @@ class TestInitialization:
         pop, rejections = init_seeded(seeds, GPParams(population_size=3), rng)
         assert len(pop) == 3
         assert rejections == []
-        assert all(ind.origin == "llm-seeded" for ind in pop)
 
 
 class ScriptedRng:
@@ -237,20 +231,15 @@ class TestSelection:
 
 class TestOperators:
     def _parents(self):
-        a = Individual(
-            genome=RulePair.from_text("(WIQ + PT) + TRANT", "min(PT, SLACK)"), fitness=1.0
-        )
-        b = Individual(
-            genome=RulePair.from_text("max(NIQ, MWT)", "(W / rDD) - OWT"), fitness=2.0
-        )
+        a = RulePair.from_text("(WIQ + PT) + TRANT", "min(PT, SLACK)")
+        b = RulePair.from_text("max(NIQ, MWT)", "(W / rDD) - OWT")
         return a, b
 
     def test_crossover_is_deterministic(self):
         a, b = self._parents()
         c1 = crossover(a, b, np.random.default_rng(7))
         c2 = crossover(a, b, np.random.default_rng(7))
-        assert c1[0].genome == c2[0].genome
-        assert c1[1].genome == c2[1].genome
+        assert c1 == c2
 
     def test_crossover_touches_one_slot(self):
         a, b = self._parents()
@@ -258,9 +247,8 @@ class TestOperators:
         for seed in range(40):
             c1, c2 = crossover(a, b, np.random.default_rng(seed))
             for child, parent in ((c1, a), (c2, b)):
-                assert child.origin == "crossover"
-                same_route = child.genome.routing == parent.genome.routing
-                same_seq = child.genome.sequencing == parent.genome.sequencing
+                same_route = child.routing == parent.routing
+                same_seq = child.sequencing == parent.sequencing
                 assert same_route or same_seq
                 if not same_route:
                     changed_routing += 1
@@ -271,32 +259,27 @@ class TestOperators:
 
     def test_crossover_respects_depth_cap(self):
         rng = np.random.default_rng(8)
-        deep = Individual(
-            genome=RulePair(routing=deep_tree(8), sequencing=deep_tree(8)), fitness=0.0
-        )
+        deep = RulePair(routing=deep_tree(8), sequencing=deep_tree(8))
         fallbacks = 0
         for _ in range(100):
             c1, c2 = crossover(deep, deep, rng)
             for child in (c1, c2):
-                assert depth(child.genome.routing) <= 8
-                assert depth(child.genome.sequencing) <= 8
-                if child.genome == deep.genome:
+                assert depth(child.routing) <= 8
+                assert depth(child.sequencing) <= 8
+                if child == deep:
                     fallbacks += 1
         assert fallbacks > 0  # the cap must have engaged at least once
 
-    def test_mutation_respects_depth_cap_and_origin(self):
+    def test_mutation_respects_depth_cap(self):
         params = GPParams()
         rng = np.random.default_rng(9)
-        deep = Individual(
-            genome=RulePair(routing=deep_tree(8), sequencing=deep_tree(8)), fitness=0.0
-        )
+        deep = RulePair(routing=deep_tree(8), sequencing=deep_tree(8))
         changed = 0
         for _ in range(100):
             child = mutate(deep, rng, params)
-            assert child.origin == "mutation"
-            assert depth(child.genome.routing) <= 8
-            assert depth(child.genome.sequencing) <= 8
-            if child.genome != deep.genome:
+            assert depth(child.routing) <= 8
+            assert depth(child.sequencing) <= 8
+            if child != deep:
                 changed += 1
         assert changed > 0
 
@@ -304,14 +287,14 @@ class TestOperators:
         a, _ = self._parents()
         m1 = mutate(a, np.random.default_rng(10), GPParams())
         m2 = mutate(a, np.random.default_rng(10), GPParams())
-        assert m1.genome == m2.genome
+        assert m1 == m2
 
     def test_mutation_touches_one_slot(self):
         a, _ = self._parents()
         for seed in range(30):
             child = mutate(a, np.random.default_rng(seed), GPParams())
-            same_route = child.genome.routing == a.genome.routing
-            same_seq = child.genome.sequencing == a.genome.sequencing
+            same_route = child.routing == a.routing
+            same_seq = child.sequencing == a.sequencing
             assert same_route or same_seq
 
 
@@ -338,7 +321,6 @@ class TestFitnessEvaluator:
         fit = ev.fitness(pair, seed=1)
         out = run_simulation(pair, ev.instance(1))
         assert fit == out.objectives.Fmean
-        assert ev.evaluations == 1
 
     def test_evaluator_applies_scenario_utilization(self):
         scenario = Scenario(
@@ -401,11 +383,9 @@ class TestFitnessEvaluator:
         again = ev.fitness(RulePair.from_text("(WIQ + PT) + TRANT", "PT"), seed=1)
         assert again is first
         assert simulated == [1]
-        assert ev.evaluations == 2
         # The same pair on another seed is a different evaluation.
         ev.fitness(pair, seed=2)
         assert simulated == [1, 2]
-        assert ev.evaluations == 3
 
     def test_guard_aborts_are_memoised(self, monkeypatch):
         simulated = self.spy_on_simulations(monkeypatch)
@@ -414,7 +394,6 @@ class TestFitnessEvaluator:
         assert ev.fitness(pair, seed=1) == DEGENERATE_FITNESS
         assert ev.fitness(pair, seed=1) == DEGENERATE_FITNESS
         assert simulated == [1]
-        assert ev.evaluations == 2
 
     def test_reference_pair_is_simulated_once_per_seed(self, monkeypatch):
         simulated = self.spy_on_simulations(monkeypatch)
@@ -494,10 +473,9 @@ class TestFitnessEvaluator:
         pair = RulePair.reference()
         expected = (ev.fitness(pair, 3) + ev.fitness(pair, 4)) / 2
         assert ev.test_performance(pair) == pytest.approx(expected)
-        # Test seeds are scored as fitness scores them, but not counted.
+        # Test seeds are scored as fitness scores them.
         cold = FitnessEvaluator(SMALL_CONFIG, scenario)
         assert cold.test_performance(pair) == expected
-        assert cold.evaluations == 0
 
     def test_test_performance_scores_guard_aborts(self, monkeypatch):
         simulated = self.spy_on_simulations(monkeypatch)
@@ -511,7 +489,6 @@ class TestFitnessEvaluator:
         assert ev.test_performance(pair) == DEGENERATE_FITNESS
         assert ev.test_aborted(pair) == 2
         assert simulated == [3, 4]
-        assert ev.evaluations == 0
         # The reference pair completes on both seeds; counting reads the memo.
         ev.test_performance(RulePair.reference())
         assert ev.test_aborted(RulePair.reference()) == 0
@@ -615,8 +592,6 @@ class TestEvolve:
         assert log.seed_rejections[0].index == 1
         genomes = [ind.genome for ind in state.population]
         assert seeds[0] in genomes
-        origins = [ind.origin for ind in state.population]
-        assert origins.count("llm-seeded") == 1
 
     @pytest.mark.parametrize("every, aborted", [(3, 4), (1, 12)])
     def test_mean_fitness_skips_guard_aborts(self, every, aborted):
