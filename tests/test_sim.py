@@ -1022,6 +1022,28 @@ class TestEngineProperties:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "23399184ff8b8d36bd87c4654c9ef078de1a2bb2194c24f7088d478ff5e3088a"
 
+    def test_full_outcomes_digest_is_pinned(self):
+        """The same 24 pairs, pinning every output of the simulator.
+
+        Each pair adds the repr of its objectives, completion column,
+        makespan and busy fraction; every 4th pair is run again recording
+        its trace and contexts, whose reprs are added too.
+        """
+        inst = load_instance(str(Path(__file__).parent / "data" / "digest_instance_m5_n150_s31.jsonl"))
+        rng = np.random.default_rng(2024)
+        lines = []
+        for i in range(24):
+            mode = "full" if i % 2 == 0 else "grow"
+            depths = (1, 1 + i % 8)
+            rules = RulePair(routing=random_tree(rng, mode, depths), sequencing=random_tree(rng, mode, depths))
+            out = run_simulation(rules, inst)
+            lines.append(repr((out.objectives, out.completion, out.makespan, out.busy_fraction)))
+            if i % 4 == 0:
+                recorded = run_simulation(rules, inst, record_trace=True, capture_contexts=True)
+                lines.append(repr((recorded.trace, recorded.contexts)))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "84cb5b98413b89d1f1d8bdbe7ff174a5fc9668273107a893fd414a0df42c44ff"
+
     def test_guarded_outcomes_digest_is_pinned(self):
         """16 ramped pairs (depth 2-6, full/grow) under the guard on a 1,000-job, 0.95-load instance.
 
