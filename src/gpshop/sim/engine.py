@@ -52,9 +52,6 @@ from ..rules import RulePair, check_depth
 from .instance import Instance
 from .objectives import ObjectiveVector, compute_objectives
 
-_ARRIVE = 1
-_COMPLETE = 2
-
 _INF = math.inf
 
 
@@ -267,7 +264,11 @@ def run_simulation(
     heap, in time order with ties in scheduling order, so it holds just
     the events in flight; an arrival at a busy machine before its
     completion is queued at once instead (see the module docstring).
-    Routing and dispatch are written out once each in the event loop.
+    A heap event (time, sequence number, machine, job j, operation o,
+    entry) carries what its handler needs: an arrival, the queue entry
+    made when o was routed, (j, o, ready time, PT, TRANT, NPT, WKR, NOR);
+    a completion of o, None.  A job's next operation is routed from the
+    machine it left, its first from the entry point, travel row 0.
     Operations and candidates are addressed by their global indices in
     the instance's flat columns.  Each job's completion time goes into
     ``SimOutcome.completion``; ``compute_objectives`` reads it from the
@@ -281,19 +282,12 @@ def run_simulation(
     n_jobs = len(release)
     m = len(instance.machine_rates)
 
-    cur_op = list(op_start[:-1])  # each job's current operation (global index)
-    loc = [-1] * n_jobs  # -1 = entry point, else machine index
     queues: list[list] = [[] for _ in range(m)]  # waiting ops: arrived, or due before mrt
     niq = [0] * m  # committed op counts (queued or in transit)
     wiq = [0.0] * m  # committed work (queued or in transit)
-    busy = [False] * m
+    busy = [False] * m  # not mrt > t: an arrival at a completion instant may pop first
     mrt = [0.0] * m  # time the machine is/was next ready
     busy_time = [0.0] * m
-    # The queue entry of each job's operation with an arrival event
-    # pending, made when it is routed: (job, global operation index, ready
-    # time, proc time, transport incurred, NPT, WKR, NOR).  A job has at
-    # most one operation in flight.
-    in_transit: list[tuple | None] = [None] * n_jobs
 
     completion = [0.0] * n_jobs
     trace: list[tuple] | None = [] if record_trace else None
@@ -301,7 +295,7 @@ def run_simulation(
     # One int per job id, shared by every event and context that names it.
     job_ids = list(range(1, n_jobs + 1)) if record_trace or capture_contexts else None
 
-    # Heap keys (time, sequence number) are unique.
+    # Heap keys (time, sequence number) are unique, so payloads are never compared.
     order = sorted(range(n_jobs), key=release.__getitem__)
     released = 0
     heap: list[tuple] = []
@@ -315,30 +309,28 @@ def run_simulation(
     choose_machine, choose_op = compile_choosers(rules, niq, wiq, mrt, instance, record, job_ids)
 
     while True:
-        # Each pass handles one release or heap event, then routes job j's
-        # current operation if j >= 0 and dispatches machine mch if mch >= 0.
+        # Each pass handles one release or heap event, then routes job j's operation o
+        # from machine mch (-1: the entry point) if j >= 0 and dispatches mch if mch >= 0.
         if released < n_jobs and (not heap or release[order[released]] <= heap[0][0]):
             # A release precedes any event at the same instant.
             j = order[released]
             released += 1
             t = release[j]
+            o = op_start[j]
             mch = -1
         elif heap:
-            t, _, kind, j, mch = heappop(heap)
-            if kind == _ARRIVE:
-                queues[mch].append(in_transit[j])
+            t, _, mch, j, o, entry = heappop(heap)
+            if entry is not None:  # an arrival
+                queues[mch].append(entry)
                 if busy[mch]:
                     continue
                 j = -1
-            else:  # _COMPLETE: route the job's next operation, then dispatch mch
-                o = cur_op[j]
+            else:  # o completed: route the job's next operation, then dispatch mch
                 if trace is not None:
                     trace.append((t, mch, job_ids[j], o - op_start[j], "complete"))
                 busy[mch] = False
                 mrt[mch] = t
-                loc[j] = mch
                 o += 1
-                cur_op[j] = o
                 if o == op_start[j + 1]:
                     completion[j] = t
                     n_done += 1
@@ -350,10 +342,8 @@ def run_simulation(
             break
 
         if j >= 0:
-            o = cur_op[j]
-            a = cand_start[o]
-            b = cand_start[o + 1]
-            row = trav[loc[j] + 1]
+            a, b = cand_start[o], cand_start[o + 1]
+            row = trav[mch + 1]
             chosen = choose_machine(j, o, t, a, b, row) if b - a > 1 else a
             to = machines[chosen]
             pt = proc_times[chosen]
@@ -370,9 +360,8 @@ def run_simulation(
                 # before it: queue the entry now.
                 queues[to].append(entry)
             else:
-                heappush(heap, (arrival, seq_counter, _ARRIVE, j, to))
+                heappush(heap, (arrival, seq_counter, to, j, o, entry))
                 seq_counter += 1
-                in_transit[j] = entry
 
         if mch >= 0 and queues[mch]:
             queue = queues[mch]
@@ -383,7 +372,7 @@ def run_simulation(
             busy[mch] = True
             busy_time[mch] += pt
             mrt[mch] = t + pt
-            heappush(heap, (t + pt, seq_counter, _COMPLETE, j, mch))
+            heappush(heap, (t + pt, seq_counter, mch, j, o, None))
             seq_counter += 1
             if trace is not None:
                 trace.append((t, mch, job_ids[j], o - op_start[j], "start"))
