@@ -10,6 +10,7 @@ timestamps, no filesystem paths.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass
 from importlib import resources
 from typing import Any, Mapping, Sequence
@@ -172,8 +173,45 @@ def write_run_record(path: str, meta: Mapping[str, Any], log: EvolutionLog, resu
     write_text_atomic(path, "\n".join(run_record_lines(meta, log, result)) + "\n")
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
+def _is_number(value: Any) -> bool:
+    """An int or a float, not a bool, within the double range: no NaN and no infinity."""
+    return type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
+def _number(value: Any, field: str) -> float:
+    if not _is_number(value):
+        raise TypeError(f"{field} must be a finite number, not {value!r}")
+    return float(value)
+
+
+def _int(value: Any, field: str) -> int:
+    if type(value) is not int:
+        raise TypeError(f"{field} must be an int, not {value!r}")
+    return value
+
+
+def _text(value: Any, field: str) -> str:
+    if type(value) is not str:
+        raise TypeError(f"{field} must be a string, not {value!r}")
+    return value
+
+
 def read_run_record(path: str) -> RunRecordFile:
-    """Read and check a record written by ``write_run_record``; DataError naming ``path`` on any defect."""
+    """Read and check a record written by ``write_run_record``; DataError naming ``path`` on any defect.
+
+    Every field the reader uses must be present with its JSON type; no value
+    is converted to fit.  ``run_seed``, ``test_aborted``, ``generation``,
+    ``aborted`` and each seed rejection's ``index`` are ints; the fitness
+    values (``test_fitness``, ``gen0_fitness``, and each generation row's
+    ``best_fitness``, ``mean_fitness`` and ``diversity``) are finite ints or
+    floats, never booleans, and are read as floats; ``method``,
+    ``scenario``, the best rules and each rejection's ``cause`` are
+    strings; ``op_counts`` maps operator names to ints.  The DataError
+    names the field that breaks a rule.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw_lines = [line for line in fh.read().splitlines() if line.strip()]
@@ -199,52 +237,58 @@ def read_run_record(path: str) -> RunRecordFile:
     if not isinstance(meta, dict):
         raise DataError(f"{path}:1: meta is not a JSON object")
     gen0_fitness: list = []
-    generations: list[dict[str, Any]] = []
+    generations: list[tuple[int, dict[str, Any]]] = []
     result: dict[str, Any] = {}
     for i, row in enumerate(rows[1:], start=2):
         if "gen0_fitness" in row:
             gen0_fitness = row["gen0_fitness"]
-            if not (isinstance(gen0_fitness, list) and all(type(x) in (int, float) for x in gen0_fitness)):
+            if not (isinstance(gen0_fitness, list) and all(map(_is_number, gen0_fitness))):
                 raise DataError(f"{path}:{i}: gen0_fitness is not a list of numbers")
         elif "result" in row:
             result = row["result"]
             if not isinstance(result, dict):
                 raise DataError(f"{path}:{i}: result is not a JSON object")
         elif "generation" in row:
-            generations.append(row)
+            generations.append((i, row))
         else:
             raise DataError(f"{path}: unrecognized record line {row!r}")
     if not result:
         raise DataError(f"{path}: record has no result line (incomplete run?)")
 
     try:
-        method, scenario = meta["method"], meta["scenario"]
-        if not (isinstance(method, str) and isinstance(scenario, str)):
-            raise TypeError("meta method and scenario must be strings")
         run = RunRecord(
-            method=method,
-            scenario=scenario,
-            seed=int(meta["run_seed"]),
-            fitness=float(result["test_fitness"]),
+            method=_text(meta["method"], "meta.method"),
+            scenario=_text(meta["scenario"], "meta.scenario"),
+            seed=_int(meta["run_seed"], "meta.run_seed"),
+            fitness=_number(result["test_fitness"], "result.test_fitness"),
         )
-        if type(result["test_aborted"]) is not int:
-            raise TypeError("result test_aborted must be an int")
-        entries = [
-            GenerationStats(
-                generation=int(row["generation"]),
-                best_fitness=float(row["best_fitness"]),
-                mean_fitness=float(row["mean_fitness"]),
-                diversity=float(row["diversity"]),
-                best_routing=row["best_routing"],
-                best_sequencing=row["best_sequencing"],
-                op_counts=dict(row["op_counts"]),
-                aborted=int(row["aborted"]),
+        _int(result["test_aborted"], "result.test_aborted")
+        entries = []
+        for i, row in generations:
+            op_counts = row["op_counts"]
+            if not (isinstance(op_counts, dict) and all(type(n) is int for n in op_counts.values())):
+                raise TypeError(f"line {i} op_counts must map operator names to ints, not {op_counts!r}")
+            entries.append(GenerationStats(
+                generation=_int(row["generation"], f"line {i} generation"),
+                best_fitness=_number(row["best_fitness"], f"line {i} best_fitness"),
+                mean_fitness=_number(row["mean_fitness"], f"line {i} mean_fitness"),
+                diversity=_number(row["diversity"], f"line {i} diversity"),
+                best_routing=_text(row["best_routing"], f"line {i} best_routing"),
+                best_sequencing=_text(row["best_sequencing"], f"line {i} best_sequencing"),
+                op_counts=dict(op_counts),
+                aborted=_int(row["aborted"], f"line {i} aborted"),
+            ))
+        rejections = [
+            SeedRejection(
+                index=_int(r["index"], "meta.seed_rejections index"),
+                cause=_text(r["cause"], "meta.seed_rejections cause"),
             )
-            for row in generations
+            for r in meta["seed_rejections"]
         ]
-        rejections = [SeedRejection(index=int(r["index"]), cause=r["cause"]) for r in meta["seed_rejections"]]
         log = EvolutionLog(entries=entries, gen0_fitness=[float(x) for x in gen0_fitness], seed_rejections=rejections)
-        best = RulePair.from_text(result["best_routing"], result["best_sequencing"])
+        best = RulePair.from_text(
+            _text(result["best_routing"], "result.best_routing"), _text(result["best_sequencing"], "result.best_sequencing")
+        )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # ExprError is a ValueError
         raise DataError(f"{path}: malformed run record: {exc!r}") from exc
     return RunRecordFile(meta=meta, result=result, run=run, log=log, best=best, path=path)

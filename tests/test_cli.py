@@ -972,6 +972,32 @@ class TestCompare:
         err = capsys.readouterr().err
         assert "data error" in err and "new-s1-1.jsonl" in err
 
+    @pytest.mark.parametrize(
+        "line, key, values, field",
+        [
+            (-1, "result", {"test_fitness": True}, "result.test_fitness"),
+            (-1, "result", {"test_fitness": "7"}, "result.test_fitness"),
+            (2, None, {"best_fitness": True, "diversity": "0.5"}, "line 3 best_fitness"),
+            (-1, "result", {"test_fitness": float("nan")}, "result.test_fitness"),
+            (-1, "result", {"test_fitness": float("inf")}, "result.test_fitness"),
+        ],
+        ids=["test_fitness-bool", "test_fitness-text", "generation-bool-and-text", "test_fitness-nan", "test_fitness-inf"],
+    )
+    def test_number_is_typed_and_finite_exit_4(self, record_dir, capsys, line, key, values, field):
+        """A number field holds a finite int or float: no bool, string, NaN or infinity is read as one."""
+        path = record_dir / "new-s1-1.jsonl"
+        rows = [json.loads(row) for row in path.read_text().splitlines()]
+        (rows[line][key] if key else rows[line]).update(values)
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        argv = [
+            "compare", "--records", str(record_dir / "*.jsonl"),
+            "--baseline", "base", "--out", str(record_dir / "cmp"),
+        ]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "data error" in err and "new-s1-1.jsonl" in err and field in err
+        assert not (record_dir / "cmp").exists()
+
     @pytest.mark.parametrize("alpha", ["2", "-1", "nan", "0", "1"])
     def test_alpha_outside_the_unit_interval_exit_2(self, record_dir, capsys, alpha):
         argv = [

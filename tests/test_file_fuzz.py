@@ -8,6 +8,7 @@ truncate a line.
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from conftest import make_golden_instance
@@ -111,12 +112,25 @@ def instance_lines(scratch) -> list[str]:
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_run_record_reads_or_raises_data_error(scratch, record_lines, data):
+    """A record that reads holds finite numbers of each field's type."""
     path = scratch / "fuzz-run.jsonl"
     path.write_text("\n".join(mutate(data, record_lines)) + "\n", encoding="utf-8")
     try:
-        read_run_record(str(path))
+        rec = read_run_record(str(path))
     except DataError:
-        pass
+        return
+    numbers = [rec.run.fitness, *rec.log.gen0_fitness]
+    ints = [rec.run.seed, rec.result["test_aborted"], *(r.index for r in rec.log.seed_rejections)]
+    texts = [rec.run.method, rec.run.scenario, *(r.cause for r in rec.log.seed_rejections)]
+    for entry in rec.log.entries:
+        numbers += [entry.best_fitness, entry.mean_fitness, entry.diversity]
+        ints += [entry.generation, entry.aborted, *entry.op_counts.values()]
+        texts += [entry.best_routing, entry.best_sequencing, *entry.op_counts]
+    assert all(type(x) is float and math.isfinite(x) for x in numbers)
+    assert all(type(n) is int for n in ints)
+    assert all(type(s) is str for s in texts)
+    raw = rec.result["test_fitness"]
+    assert type(raw) in (int, float) and math.isfinite(raw)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
