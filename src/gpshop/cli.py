@@ -132,7 +132,7 @@ def _evolve_one_run(run_index: int, run_seed: int, *, scenario: Scenario, sim: S
     meta = build_run_meta(
         method=f"gp-{init_mode}",
         scenario=scenario,
-        sim=sim,
+        sim=evaluator.config,
         gp=gp,
         run_index=run_index,
         run_seed=run_seed,

@@ -144,7 +144,11 @@ def build_run_meta(
     seed_pairs: Sequence[RulePair] = (),
     seed_rejections: Sequence[SeedRejection] = (),
 ) -> dict[str, Any]:
-    """Everything needed to re-create the run, minus wall-clock noise."""
+    """Everything needed to re-create the run, minus wall-clock noise.
+
+    ``sim`` is the shop the run simulated: the configured ``SimConfig`` at
+    the scenario's utilization, as ``FitnessEvaluator.config`` holds it.
+    """
     return {
         "method": method,
         "scenario": scenario.label,

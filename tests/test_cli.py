@@ -388,6 +388,18 @@ class TestEvolve:
         assert not (out / "run-0.jsonl").exists()
         assert (out / "run-1.jsonl").read_bytes() == (runs_random / "run-1.jsonl").read_bytes()
 
+    def test_meta_sim_is_the_simulated_shop(self, ws, tmp_path):
+        """A 0.95-load scenario records the shop it simulated, not the configured 0.85."""
+        assert load_config(str(ws / "tiny.yaml")).sim.utilization == 0.85
+        out = tmp_path / "runs-095"
+        argv = [
+            "evolve", "--config", str(ws / "tiny.yaml"), "--scenario", "tmean-095",
+            "--seed", "1", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        meta = read_run_record(str(out / "run-0.jsonl")).meta
+        assert meta["sim"]["utilization"] == meta["scenario_config"]["utilization"] == 0.95
+
     def test_no_temp_files_left(self, runs_random):
         assert not [f for f in os.listdir(runs_random) if ".tmp" in f]
 
