@@ -273,6 +273,19 @@ class TestEventOrder:
         ))
         assert _starts(inst) == {(1, 0): (10.0, 0), (2, 0): (40.0, 0), (3, 0): (60.0, 0)}
 
+    def test_early_arrival_at_the_completion_instant_sees_the_machine_busy(self):
+        # J2, released at 10 before J1 arrives, is routed to the idle M0 and
+        # so gets an arrival event at 20, scheduled before J1's dispatch.
+        # J1 holds M0 from 10 to 20, so that arrival pops before J1's
+        # completion, while M0 is still busy; the completion then starts J2
+        # (20 to 40).  J3 reaches the busy M0 at 31 and waits until 40.
+        inst = _tie_instance((
+            (0.0, 1, 100.0, ((100.0, (0,)),)),
+            (10.0, 1, 100.0, ((200.0, (0,)),)),
+            (21.0, 1, 100.0, ((100.0, (0,)),)),
+        ))
+        assert _starts(inst) == {(1, 0): (10.0, 0), (2, 0): (20.0, 0), (3, 0): (40.0, 0)}
+
     def test_negative_releases_reach_idle_machines(self):
         # The constructor accepts releases before 0.0, the ready time an
         # unused machine starts with.  Each job still arrives and starts
