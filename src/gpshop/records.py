@@ -191,15 +191,9 @@ def _number(value: Any, field: str) -> float:
     return float(value)
 
 
-def _int(value: Any, field: str) -> int:
-    if type(value) is not int:
-        raise TypeError(f"{field} must be an int, not {value!r}")
-    return value
-
-
-def _text(value: Any, field: str) -> str:
-    if type(value) is not str:
-        raise TypeError(f"{field} must be a string, not {value!r}")
+def _typed(value: Any, kind: type, field: str) -> Any:
+    if type(value) is not kind:
+        raise TypeError(f"{field} must be of type {kind.__name__}, not {value!r}")
     return value
 
 
@@ -261,37 +255,38 @@ def read_run_record(path: str) -> RunRecordFile:
 
     try:
         run = RunRecord(
-            method=_text(meta["method"], "meta.method"),
-            scenario=_text(meta["scenario"], "meta.scenario"),
-            seed=_int(meta["run_seed"], "meta.run_seed"),
+            method=_typed(meta["method"], str, "meta.method"),
+            scenario=_typed(meta["scenario"], str, "meta.scenario"),
+            seed=_typed(meta["run_seed"], int, "meta.run_seed"),
             fitness=_number(result["test_fitness"], "result.test_fitness"),
         )
-        _int(result["test_aborted"], "result.test_aborted")
+        _typed(result["test_aborted"], int, "result.test_aborted")
         entries = []
         for i, row in generations:
             op_counts = row["op_counts"]
             if not (isinstance(op_counts, dict) and all(type(n) is int for n in op_counts.values())):
                 raise TypeError(f"line {i} op_counts must map operator names to ints, not {op_counts!r}")
             entries.append(GenerationStats(
-                generation=_int(row["generation"], f"line {i} generation"),
+                generation=_typed(row["generation"], int, f"line {i} generation"),
                 best_fitness=_number(row["best_fitness"], f"line {i} best_fitness"),
                 mean_fitness=_number(row["mean_fitness"], f"line {i} mean_fitness"),
                 diversity=_number(row["diversity"], f"line {i} diversity"),
-                best_routing=_text(row["best_routing"], f"line {i} best_routing"),
-                best_sequencing=_text(row["best_sequencing"], f"line {i} best_sequencing"),
+                best_routing=_typed(row["best_routing"], str, f"line {i} best_routing"),
+                best_sequencing=_typed(row["best_sequencing"], str, f"line {i} best_sequencing"),
                 op_counts=dict(op_counts),
-                aborted=_int(row["aborted"], f"line {i} aborted"),
+                aborted=_typed(row["aborted"], int, f"line {i} aborted"),
             ))
         rejections = [
             SeedRejection(
-                index=_int(r["index"], "meta.seed_rejections index"),
-                cause=_text(r["cause"], "meta.seed_rejections cause"),
+                index=_typed(r["index"], int, "meta.seed_rejections index"),
+                cause=_typed(r["cause"], str, "meta.seed_rejections cause"),
             )
             for r in meta["seed_rejections"]
         ]
         log = EvolutionLog(entries=entries, gen0_fitness=[float(x) for x in gen0_fitness], seed_rejections=rejections)
         best = RulePair.from_text(
-            _text(result["best_routing"], "result.best_routing"), _text(result["best_sequencing"], "result.best_sequencing")
+            _typed(result["best_routing"], str, "result.best_routing"),
+            _typed(result["best_sequencing"], str, "result.best_sequencing"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # ExprError is a ValueError
         raise DataError(f"{path}: malformed run record: {exc!r}") from exc
