@@ -290,7 +290,8 @@ def compile_expression(expr: Expression) -> Callable[..., float]:
     call it: it inlines that same source into its generated decision
     loops (see ``sim.engine.compile_choosers``), recording contexts
     included.  This form serves checks and callers that score single
-    contexts, such as recorded ``DecisionContext.as_args()``.
+    contexts, such as the ``as_args()`` of a recorded context, which
+    reads like a ``DecisionContext``.
     """
     src = f"def _rule({', '.join(_ARG_NAMES)}):\n    return {expression_source(expr)}\n"
     namespace: dict = {}

@@ -77,6 +77,111 @@ class QueueOverflow(RuntimeError):
         self.limit = limit
 
 
+class _RecordedCandidate:
+    """A recorded candidate reads as the ``DecisionContext`` of its 13 terminals.
+
+    Values shared by every candidate of one decision live in the
+    decision's ``head`` tuple, bound once by the generated recording
+    chooser; a candidate keeps the head and its own values.
+    """
+
+    __slots__ = ()
+
+    as_args = DecisionContext.as_args
+
+    def __repr__(self) -> str:
+        return repr(DecisionContext(*self.as_args()))
+
+
+def _head(index: int) -> property:
+    return property(lambda self: self.head[index])
+
+
+class _RoutingCandidate(_RecordedCandidate):
+    """One machine of a routing decision.
+
+    ``head`` is ("route", t, job_id, op_index, NPT, OWT, WKR, NOR, rDD,
+    SLACK, W, TIS).  MWT is read back as ``t - mrt``, the operands of the
+    chooser's ``MWT = t - mrt[mch]``, so it is the same float.
+    """
+
+    __slots__ = ("head", "machine", "NIQ", "WIQ", "mrt", "PT", "TRANT")
+
+    def __init__(self, head, machine, NIQ, WIQ, mrt, PT, TRANT):
+        self.head = head
+        self.machine = machine
+        self.NIQ = NIQ
+        self.WIQ = WIQ
+        self.mrt = mrt
+        self.PT = PT
+        self.TRANT = TRANT
+
+    NPT, OWT, WKR, NOR, rDD, SLACK, W, TIS = map(_head, range(4, 12))
+
+    @property
+    def MWT(self):
+        return self.head[1] - self.mrt
+
+    def entry(self) -> tuple:
+        head = self.head
+        return head[0], head[1], head[2], head[3], self.machine, self
+
+
+class _QueuedOperation(_RecordedCandidate):
+    """One queued operation of a dispatch; ``head`` is ("sequence", t, machine, NIQ, WIQ, MWT)."""
+
+    __slots__ = (
+        "head", "job_id", "op_index", "PT", "NPT", "OWT", "WKR", "NOR", "rDD", "SLACK", "W", "TIS", "TRANT",
+    )
+
+    def __init__(self, head, job_id, op_index, PT, NPT, OWT, WKR, NOR, rDD, SLACK, W, TIS, TRANT):
+        self.head = head
+        self.job_id = job_id
+        self.op_index = op_index
+        self.PT = PT
+        self.NPT = NPT
+        self.OWT = OWT
+        self.WKR = WKR
+        self.NOR = NOR
+        self.rDD = rDD
+        self.SLACK = SLACK
+        self.W = W
+        self.TIS = TIS
+        self.TRANT = TRANT
+
+    NIQ, WIQ, MWT = map(_head, range(3, 6))
+
+    def entry(self) -> tuple:
+        head = self.head
+        return head[0], head[1], self.job_id, self.op_index, head[2], self
+
+
+class DecisionLog:
+    """Every candidate a recording run scored, in scoring order.
+
+    Iteration yields one entry per candidate, (kind, time, job_id,
+    op_index, machine, context) with kind "route" or "sequence", built
+    on demand; ``context`` has the 13 terminal attributes, ``as_args()``
+    in ``TERMINAL_ORDER`` and the repr of the equal ``DecisionContext``.
+    The log iterates repeatably, has ``len``, and its repr is that of
+    the list of its entries.
+    """
+
+    __slots__ = ("_candidates",)
+
+    def __init__(self, candidates: list) -> None:
+        self._candidates = candidates
+
+    def __len__(self) -> int:
+        return len(self._candidates)
+
+    def __iter__(self):
+        return (candidate.entry() for candidate in self._candidates)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class SimOutcome:
     """Everything a simulation run reports.
@@ -84,7 +189,8 @@ class SimOutcome:
     ``completion`` is a per-job column, indexed by job position like the
     instance's ``release``: ``completion[j]`` is the time job id j + 1
     finished its last operation.  Warm-up jobs are included; only the
-    objectives leave them out.
+    objectives leave them out.  ``contexts`` is the ``DecisionLog`` of a
+    recording run.
     """
 
     objectives: ObjectiveVector
@@ -92,7 +198,7 @@ class SimOutcome:
     makespan: float
     completion: list[float]
     trace: list[tuple] | None = None
-    contexts: list[tuple] | None = None
+    contexts: DecisionLog | None = None
 
 
 # Statements that bind each terminal in the generated choosers.  A routing
@@ -124,15 +230,15 @@ _READS_MACHINE = {*_MACHINE_TERMS, "TRANT"}
 # PT, TRANT, NPT, WKR and NOR come unpacked from the queue entry.
 _SEQUENCE_PER_OPERATION = {**_JOB_TERMS, "OWT": "OWT = t - ready_t"}
 _TERMINAL_NAMES = tuple(t.name for t in TERMINAL_ORDER)
-# The recording line, emitted after a candidate's bindings when contexts
-# are captured; the context's fields are positional in TERMINAL_ORDER.  A
-# routing decision has one job and operation, bound once before its
-# candidate loop; each queued operation names its own.
-_RECORD = (
-    "\n" + " " * 12 + '_record(("{kind}", t, {ids}, mch, _Context('
-    + ", ".join(_TERMINAL_NAMES) + ")))"
+# The recording lines.  A decision binds its shared values once, as
+# ``head``, after its own terms; each candidate is passed to ``_record``
+# with the head and its own values before it is scored.
+_ROUTE_HEAD = 'head = ("route", t, job_ids[j], o - op_start[j], NPT, OWT, WKR, NOR, rDD, SLACK, W, TIS)'
+_ROUTE_CANDIDATE = "_record(_RoutingCandidate(head, mch, NIQ, WIQ, mrt[mch], PT, TRANT))"
+_SEQUENCE_HEAD = 'head = ("sequence", t, mch, NIQ, WIQ, MWT)'
+_SEQUENCE_CANDIDATE = (
+    "_record(_QueuedOperation(head, job_ids[j], o - op_start[j], PT, NPT, OWT, WKR, NOR, rDD, SLACK, W, TIS, TRANT))"
 )
-_RECORD_ROUTE_IDS = " " * 8 + "job_id = job_ids[j]\n" + " " * 8 + "op_index = o - op_start[j]"
 
 _CHOOSERS = """\
 def _bind(niq, wiq, mrt, release, due, weight, op_start, npt, wkr, machines, proc_times, _record, job_ids):
@@ -190,13 +296,14 @@ def compile_choosers(
     and NOR are ints, OWT is 0.0 when routing).  The functions read the
     live machine state ``niq``, ``wiq`` and ``mrt`` at call time, and the
     job data from ``instance``'s columns.  Given ``record`` and
-    ``job_ids``, every terminal is computed and each candidate is passed
-    to ``record`` before it is scored, as (kind, time, job_id, op_index,
-    machine, DecisionContext) with kind "route" or "sequence" and job j's
-    id read from ``job_ids[j]``, so a caller can share one int per job;
-    the decisions themselves are the same.  The compiled factory is kept
-    per (rule pair, recording), so a pair met again, on another seed or
-    instance, is only rebound.
+    ``job_ids``, every terminal is computed, each decision binds its
+    shared values once in a head tuple, and each candidate is passed to
+    ``record`` before it is scored, as an object that keeps the head and
+    the candidate's own values (see ``DecisionLog`` for how it reads);
+    job j's id is read from ``job_ids[j]``, so a caller can share one int
+    per job.  The decisions themselves are the same.  The compiled
+    factory is kept per (rule pair, recording), so a pair met again, on
+    another seed or instance, is only rebound.
 
     Raises DataError for a rule deeper than ``MAX_DEPTH``: the depth cap
     and the instance value bound are what keep every score finite (see
@@ -221,20 +328,24 @@ def _compiled_bind(rules: RulePair, recording: bool):
     if route_reads & _READS_MACHINE:
         route_machine = " " * 12 + "mch = machines[i]\n" + route_machine
     route_decision = _bindings(_ROUTE_PER_DECISION, route_reads, " " * 8)
+    sequence_decision = _bindings(_MACHINE_TERMS, sequence_reads, " " * 8)
     sequence_operation = _bindings(_SEQUENCE_PER_OPERATION, sequence_reads, " " * 12)
     if recording:
-        route_decision += "\n" + _RECORD_ROUTE_IDS
-        route_machine += _RECORD.format(kind="route", ids="job_id, op_index")
-        sequence_operation += _RECORD.format(kind="sequence", ids="job_ids[j], o - op_start[j]")
+        route_decision += "\n" + " " * 8 + _ROUTE_HEAD
+        route_machine += "\n" + " " * 12 + _ROUTE_CANDIDATE
+        sequence_decision += "\n" + " " * 8 + _SEQUENCE_HEAD
+        sequence_operation += "\n" + " " * 12 + _SEQUENCE_CANDIDATE
     src = _CHOOSERS.format(
         route_decision=route_decision,
         route_machine=route_machine,
         route_body=expression_source(rules.routing),
-        sequence_decision=_bindings(_MACHINE_TERMS, sequence_reads, " " * 8),
+        sequence_decision=sequence_decision,
         sequence_operation=sequence_operation,
         sequence_body=expression_source(rules.sequencing),
     )
-    namespace: dict = {"_INF": _INF, "_Context": DecisionContext}
+    namespace: dict = {
+        "_INF": _INF, "_RoutingCandidate": _RoutingCandidate, "_QueuedOperation": _QueuedOperation,
+    }
     exec(compile(src, "<choosers>", "exec"), namespace)
     return namespace["_bind"]
 
@@ -251,12 +362,13 @@ def run_simulation(
     Decisions are made by the two functions ``compile_choosers`` binds
     for this rule pair, once per call, over the instance's columns.
     With ``capture_contexts`` the choosers are generated in their
-    recording form, and every scored candidate lands in
-    ``SimOutcome.contexts`` as (kind, time, job_id, op_index, machine,
-    DecisionContext); decisions are identical either way, which tests
-    pin.  ``max_queue`` aborts the
-    run with QueueOverflow once any machine holds more committed
-    operations, which fitness evaluators use to prune degenerate rules.
+    recording form, and ``SimOutcome.contexts`` is a ``DecisionLog`` of
+    every scored candidate, which iterates as (kind, time, job_id,
+    op_index, machine, context) entries; each decision's shared values
+    are stored once.  Decisions are identical either way, which tests
+    pin.  ``max_queue`` aborts the run with QueueOverflow once any
+    machine holds more committed operations, which fitness evaluators
+    use to prune degenerate rules.
 
     Jobs are released in (release time, job) order, read from the release
     column, and each release runs before any arrival or completion at the
@@ -291,7 +403,7 @@ def run_simulation(
 
     completion = [0.0] * n_jobs
     trace: list[tuple] | None = [] if record_trace else None
-    contexts: list[tuple] | None = [] if capture_contexts else None
+    candidates: list | None = [] if capture_contexts else None
     # One int per job id, shared by every event and context that names it.
     job_ids = list(range(1, n_jobs + 1)) if record_trace or capture_contexts else None
 
@@ -305,7 +417,7 @@ def run_simulation(
     end_time = 0.0
     queue_limit = _INF if max_queue is None else max_queue
 
-    record = None if contexts is None else contexts.append
+    record = None if candidates is None else candidates.append
     choose_machine, choose_op = compile_choosers(rules, niq, wiq, mrt, instance, record, job_ids)
 
     while True:
@@ -388,7 +500,7 @@ def run_simulation(
         makespan=end_time,
         completion=completion,
         trace=trace,
-        contexts=contexts,
+        contexts=None if candidates is None else DecisionLog(candidates),
     )
 
 

@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpshop.errors import ConfigError, DataError
-from gpshop.expr import TERMINAL_ORDER, evaluate, parse, random_tree
+from gpshop.expr import TERMINAL_ORDER, DecisionContext, evaluate, parse, random_tree
 from gpshop.rules import RulePair
 from gpshop.sim import (
     Instance,
@@ -172,16 +173,20 @@ class TestCommittedAccounting:
         )
         routes = [c for c in out.contexts if c[0] == "route"]
         # Only J2's decision has two candidates; forced routings skip scoring.
-        assert [(c[1], c[2], c[4]) for c in routes] == [(1.0, 2, 0), (1.0, 2, 1)]
+        assert [c[:5] for c in routes] == [("route", 1.0, 2, 0, 0), ("route", 1.0, 2, 0, 1)]
         m0 = routes[0][5]
         assert (m0.NIQ, m0.WIQ, m0.MWT) == (1.0, 30.0, 1.0)
         assert (m0.PT, m0.NPT, m0.OWT) == (10.0, 0.0, 0.0)
         assert (m0.WKR, m0.NOR) == (10.0, 1.0)
         assert (m0.rDD, m0.SLACK) == (15.0, 5.0)
         assert (m0.W, m0.TIS, m0.TRANT) == (1.0, 0.0, 10.0)
+        # M1 is empty and idle, and twice as far from the entry point.
         m1 = routes[1][5]
         assert (m1.NIQ, m1.WIQ, m1.MWT) == (0.0, 0.0, 1.0)
-        assert m1.TRANT == 20.0
+        assert (m1.PT, m1.NPT, m1.OWT) == (10.0, 0.0, 0.0)
+        assert (m1.WKR, m1.NOR) == (10.0, 1.0)
+        assert (m1.rDD, m1.SLACK) == (15.0, 5.0)
+        assert (m1.W, m1.TIS, m1.TRANT) == (1.0, 0.0, 20.0)
 
 
 def _tie_instance(jobs: tuple) -> Instance:
@@ -918,8 +923,16 @@ def _assert_choices_are_argmins(rules: RulePair, out) -> None:
 
     Routing ties go to the lowest candidate index, dispatch ties to the
     earliest ready time and then the lowest job.  A ready time is the
-    completion of the job's previous operation, or its release.
+    completion of the job's previous operation, or its release.  Every
+    recorded context must also read as the ``DecisionContext`` of its
+    terminals, and the log must iterate repeatably.
     """
+    entries = list(out.contexts)
+    assert entries == list(out.contexts) and len(out.contexts) == len(entries)
+    for *_, ctx in entries:
+        args = ctx.as_args()
+        assert repr(args) == repr(tuple(getattr(ctx, term.name) for term in TERMINAL_ORDER))
+        assert repr(ctx) == repr(DecisionContext(*args))
     starts = {(j, k): (t, mch) for t, mch, j, k, kind in out.trace if kind == "start"}
     started_at = {where: op for op, where in starts.items()}
     ready = {(j, k + 1): t for t, _, j, k, kind in out.trace if kind == "complete"}
@@ -928,7 +941,7 @@ def _assert_choices_are_argmins(rules: RulePair, out) -> None:
     def decision(c):
         return (c[0], c[1], c[2], c[3]) if c[0] == "route" else (c[0], c[1], c[4])
 
-    for (kind, t, *_), group in itertools.groupby(out.contexts, key=decision):
+    for (kind, t, *_), group in itertools.groupby(entries, key=decision):
         group = list(group)
         if kind == "route":
             _, _, j, k, _, _ = group[0]
@@ -980,6 +993,28 @@ class TestEngineProperties:
             return
         assert fast == (repr(out.objectives), repr(out.trace))
         _assert_choices_are_argmins(rules, out)
+
+    def test_recording_memory_per_candidate(self):
+        """A recording keeps at most 200 bytes per scored candidate.
+
+        A decision's shared values are stored once, in its head; a
+        candidate keeps the head and its own values.  Storing all 13
+        terminals per candidate, in a context beside an entry tuple,
+        keeps about 270 bytes.  A warm-up recording fills the compile
+        cache first, so only what the run keeps is counted.
+        """
+        rules = RulePair.from_text("WIQ + PT", "PT")
+        inst = generate_instance(SimConfig(total_jobs=300, warmup_jobs=30), seed=31)
+        run_simulation(rules, inst, capture_contexts=True)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            out = run_simulation(rules, inst, capture_contexts=True)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(out.contexts) > 10_000
+        assert kept / len(out.contexts) <= 200
 
     @settings(max_examples=100, deadline=None)
     @given(
