@@ -227,10 +227,21 @@ class FitnessEvaluator:
         return objectives if objectives is not None else self._objectives(reference, seed, guarded=False)
 
     def fitness(self, pair: RulePair, seed: int) -> float:
-        """Fitness of ``pair`` on ``seed``: the only scorer, for training and held-out seeds alike."""
+        """Fitness of ``pair`` on ``seed``: the only scorer, for training and held-out seeds alike.
+
+        A ConfigError from ``weighted_fitness``, such as a zero reference
+        objective, names the scenario and whether ``seed`` is a training
+        or a held-out seed.
+        """
         reference = self.reference_objectives(seed) if self.scenario.is_multi_objective else None
         objectives = self._objectives(pair, seed)
-        return DEGENERATE_FITNESS if objectives is None else weighted_fitness(objectives, self.scenario, reference)
+        if objectives is None:
+            return DEGENERATE_FITNESS
+        try:
+            return weighted_fitness(objectives, self.scenario, reference)
+        except ConfigError as exc:
+            role = "held-out" if seed in self.scenario.test_seeds else "training"
+            raise ConfigError(f"scenario {self.scenario.label}, {role} seed {seed}: {exc}") from None
 
     def evaluate_population(self, population: list[Individual], seed: int) -> None:
         """Assign fitness to every individual on the given instance seed."""

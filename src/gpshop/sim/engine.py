@@ -80,80 +80,81 @@ class QueueOverflow(RuntimeError):
 class _RecordedCandidate:
     """A recorded candidate reads as the ``DecisionContext`` of its 13 terminals.
 
-    Values shared by every candidate of one decision live in the
-    decision's ``head`` tuple, bound once by the generated recording
-    chooser; a candidate keeps the head and its own values.
+    It keeps only what the instance cannot give back; ``as_args``
+    recomputes the rest with the choosers' own expressions, so each value
+    is the same float, and every terminal attribute reads through it.
     """
 
     __slots__ = ()
-
-    as_args = DecisionContext.as_args
 
     def __repr__(self) -> str:
         return repr(DecisionContext(*self.as_args()))
 
 
-def _head(index: int) -> property:
-    return property(lambda self: self.head[index])
+for _index, _term in enumerate(TERMINAL_ORDER):
+    setattr(_RecordedCandidate, _term.name, property(lambda self, i=_index: self.as_args()[i]))
+
+
+def _job_terms(instance: Instance, j: int, t: float, wkr: float) -> tuple:
+    """rDD, SLACK, W and TIS of job j at time t, as the choosers compute them."""
+    due = instance.due[j]
+    return due - t, due - t - wkr, instance.weight[j], t - instance.release[j]
 
 
 class _RoutingCandidate(_RecordedCandidate):
     """One machine of a routing decision.
 
-    ``head`` is ("route", t, job_id, op_index, NPT, OWT, WKR, NOR, rDD,
-    SLACK, W, TIS).  MWT is read back as ``t - mrt``, the operands of the
-    chooser's ``MWT = t - mrt[mch]``, so it is the same float.
+    ``head`` is ("route", t, job_id, op_index, row, a, instance): ``row``
+    is the travel row from the job's location and ``a`` the decision's
+    first candidate index.  The candidate is ``a + k``; ``niq``, ``wiq``
+    and ``mrt`` are its machine's entries when it was scored.
     """
 
-    __slots__ = ("head", "machine", "NIQ", "WIQ", "mrt", "PT", "TRANT")
+    __slots__ = ("head", "k", "niq", "wiq", "mrt")
 
-    def __init__(self, head, machine, NIQ, WIQ, mrt, PT, TRANT):
+    def __init__(self, head, k, niq, wiq, mrt):
         self.head = head
-        self.machine = machine
-        self.NIQ = NIQ
-        self.WIQ = WIQ
+        self.k = k
+        self.niq = niq
+        self.wiq = wiq
         self.mrt = mrt
-        self.PT = PT
-        self.TRANT = TRANT
 
-    NPT, OWT, WKR, NOR, rDD, SLACK, W, TIS = map(_head, range(4, 12))
-
-    @property
-    def MWT(self):
-        return self.head[1] - self.mrt
+    def as_args(self) -> tuple:
+        _, t, job_id, op_index, row, a, instance = self.head
+        j, i = job_id - 1, a + self.k
+        o = instance.op_start[j] + op_index
+        wkr = instance.wkr[o]
+        return (
+            self.niq, self.wiq, t - self.mrt, instance.proc_times[i], instance.npt[o], 0.0, wkr,
+            instance.op_start[j + 1] - o, *_job_terms(instance, j, t, wkr), row[instance.machines[i]],
+        )
 
     def entry(self) -> tuple:
-        head = self.head
-        return head[0], head[1], head[2], head[3], self.machine, self
+        kind, t, job_id, op_index, _, a, instance = self.head
+        return kind, t, job_id, op_index, instance.machines[a + self.k], self
 
 
 class _QueuedOperation(_RecordedCandidate):
-    """One queued operation of a dispatch; ``head`` is ("sequence", t, machine, NIQ, WIQ, MWT)."""
+    """One queued operation of a dispatch; ``op`` is its queue entry.
 
-    __slots__ = (
-        "head", "job_id", "op_index", "PT", "NPT", "OWT", "WKR", "NOR", "rDD", "SLACK", "W", "TIS", "TRANT",
-    )
+    ``head`` is ("sequence", t, machine, niq[machine], wiq[machine], mrt[machine], job_ids, instance).
+    """
 
-    def __init__(self, head, job_id, op_index, PT, NPT, OWT, WKR, NOR, rDD, SLACK, W, TIS, TRANT):
+    __slots__ = ("head", "op")
+
+    def __init__(self, head, op):
         self.head = head
-        self.job_id = job_id
-        self.op_index = op_index
-        self.PT = PT
-        self.NPT = NPT
-        self.OWT = OWT
-        self.WKR = WKR
-        self.NOR = NOR
-        self.rDD = rDD
-        self.SLACK = SLACK
-        self.W = W
-        self.TIS = TIS
-        self.TRANT = TRANT
+        self.op = op
 
-    NIQ, WIQ, MWT = map(_head, range(3, 6))
+    def as_args(self) -> tuple:
+        _, t, _, niq, wiq, mrt, _, instance = self.head
+        j, _, ready_t, pt, trant, npt, wkr, nor = self.op
+        return (niq, wiq, t - mrt, pt, npt, t - ready_t, wkr, nor, *_job_terms(instance, j, t, wkr), trant)
 
     def entry(self) -> tuple:
-        head = self.head
-        return head[0], head[1], self.job_id, self.op_index, head[2], self
+        kind, t, machine, _, _, _, job_ids, instance = self.head
+        j, o = self.op[:2]
+        return kind, t, job_ids[j], o - instance.op_start[j], machine, self
 
 
 class DecisionLog:
@@ -190,7 +191,8 @@ class SimOutcome:
     instance's ``release``: ``completion[j]`` is the time job id j + 1
     finished its last operation.  Warm-up jobs are included; only the
     objectives leave them out.  ``contexts`` is the ``DecisionLog`` of a
-    recording run.
+    recording run; its contexts recompute terminals from the instance,
+    so the log, and any context taken from it, keeps the instance alive.
     """
 
     objectives: ObjectiveVector
@@ -229,19 +231,16 @@ _ROUTE_PER_MACHINE = {**_MACHINE_TERMS, "PT": "PT = proc_times[i]", "TRANT": "TR
 _READS_MACHINE = {*_MACHINE_TERMS, "TRANT"}
 # PT, TRANT, NPT, WKR and NOR come unpacked from the queue entry.
 _SEQUENCE_PER_OPERATION = {**_JOB_TERMS, "OWT": "OWT = t - ready_t"}
-_TERMINAL_NAMES = tuple(t.name for t in TERMINAL_ORDER)
-# The recording lines.  A decision binds its shared values once, as
-# ``head``, after its own terms; each candidate is passed to ``_record``
-# with the head and its own values before it is scored.
-_ROUTE_HEAD = 'head = ("route", t, job_ids[j], o - op_start[j], NPT, OWT, WKR, NOR, rDD, SLACK, W, TIS)'
-_ROUTE_CANDIDATE = "_record(_RoutingCandidate(head, mch, NIQ, WIQ, mrt[mch], PT, TRANT))"
-_SEQUENCE_HEAD = 'head = ("sequence", t, mch, NIQ, WIQ, MWT)'
-_SEQUENCE_CANDIDATE = (
-    "_record(_QueuedOperation(head, job_ids[j], o - op_start[j], PT, NPT, OWT, WKR, NOR, rDD, SLACK, W, TIS, TRANT))"
-)
+# The recording lines.  A decision binds its head once, after its own
+# terms; each candidate is passed to ``_record`` with the head and what
+# the instance cannot give back before it is scored.
+_ROUTE_HEAD = 'head = ("route", t, job_ids[j], o - op_start[j], row, a, instance)'
+_ROUTE_CANDIDATE = "_record(_RoutingCandidate(head, i - a, niq[mch], wiq[mch], mrt[mch]))"
+_SEQUENCE_HEAD = 'head = ("sequence", t, mch, niq[mch], wiq[mch], mrt[mch], job_ids, instance)'
+_SEQUENCE_CANDIDATE = "_record(_QueuedOperation(head, queue[i]))"
 
 _CHOOSERS = """\
-def _bind(niq, wiq, mrt, release, due, weight, op_start, npt, wkr, machines, proc_times, _record, job_ids):
+def _bind(niq, wiq, mrt, release, due, weight, op_start, npt, wkr, machines, proc_times, _record, job_ids{instance}):
     def choose_machine(j, o, t, a, b, row):
 {route_decision}
         best = _INF
@@ -296,22 +295,23 @@ def compile_choosers(
     and NOR are ints, OWT is 0.0 when routing).  The functions read the
     live machine state ``niq``, ``wiq`` and ``mrt`` at call time, and the
     job data from ``instance``'s columns.  Given ``record`` and
-    ``job_ids``, every terminal is computed, each decision binds its
-    shared values once in a head tuple, and each candidate is passed to
-    ``record`` before it is scored, as an object that keeps the head and
-    the candidate's own values (see ``DecisionLog`` for how it reads);
-    job j's id is read from ``job_ids[j]``, so a caller can share one int
-    per job.  The decisions themselves are the same.  The compiled
-    factory is kept per (rule pair, recording), so a pair met again, on
-    another seed or instance, is only rebound.
+    ``job_ids``, the choosers still bind only what the rules read, plus
+    their record lines: each decision binds one head tuple, and each
+    candidate is passed to ``record`` before it is scored, as an object
+    that keeps the head and the live machine state or queue entry (see
+    ``_RecordedCandidate``); job j's id is read from ``job_ids[j]``, so a
+    caller can share one int per job.  The decisions are the same.  The
+    compiled factory is kept per (rule pair, recording), so a pair met
+    again, on another seed or instance, is only rebound.
 
     Raises DataError for a rule deeper than ``MAX_DEPTH``: the depth cap
     and the instance value bound are what keep every score finite (see
     ``expr.MAX_MAGNITUDE``), so the candidate loops test no score.
     """
+    recording = () if record is None else (instance,)  # the recording choosers' last argument
     return _compiled_bind(rules, record is not None)(
         niq, wiq, mrt, instance.release, instance.due, instance.weight, instance.op_start,
-        instance.npt, instance.wkr, instance.machines, instance.proc_times, record, job_ids,
+        instance.npt, instance.wkr, instance.machines, instance.proc_times, record, job_ids, *recording,
     )
 
 
@@ -319,13 +319,10 @@ def compile_choosers(
 def _compiled_bind(rules: RulePair, recording: bool):
     """The ``_bind`` factory for one rule pair, generated and compiled once."""
     check_depth(rules)
-    if recording:
-        route_reads = sequence_reads = set(_TERMINAL_NAMES)
-    else:
-        route_reads = {t.name for t in terminal_histogram(rules.routing)}
-        sequence_reads = {t.name for t in terminal_histogram(rules.sequencing)}
+    route_reads = {t.name for t in terminal_histogram(rules.routing)}
+    sequence_reads = {t.name for t in terminal_histogram(rules.sequencing)}
     route_machine = _bindings(_ROUTE_PER_MACHINE, route_reads, " " * 12)
-    if route_reads & _READS_MACHINE:
+    if recording or route_reads & _READS_MACHINE:
         route_machine = " " * 12 + "mch = machines[i]\n" + route_machine
     route_decision = _bindings(_ROUTE_PER_DECISION, route_reads, " " * 8)
     sequence_decision = _bindings(_MACHINE_TERMS, sequence_reads, " " * 8)
@@ -336,6 +333,7 @@ def _compiled_bind(rules: RulePair, recording: bool):
         sequence_decision += "\n" + " " * 8 + _SEQUENCE_HEAD
         sequence_operation += "\n" + " " * 12 + _SEQUENCE_CANDIDATE
     src = _CHOOSERS.format(
+        instance=", instance" if recording else "",
         route_decision=route_decision,
         route_machine=route_machine,
         route_body=expression_source(rules.routing),
@@ -364,11 +362,11 @@ def run_simulation(
     With ``capture_contexts`` the choosers are generated in their
     recording form, and ``SimOutcome.contexts`` is a ``DecisionLog`` of
     every scored candidate, which iterates as (kind, time, job_id,
-    op_index, machine, context) entries; each decision's shared values
-    are stored once.  Decisions are identical either way, which tests
-    pin.  ``max_queue`` aborts the run with QueueOverflow once any
-    machine holds more committed operations, which fitness evaluators
-    use to prune degenerate rules.
+    op_index, machine, context) entries; a context keeps only what the
+    instance cannot give back.  Decisions are identical either way,
+    which tests pin.  ``max_queue`` aborts the run with QueueOverflow
+    once any machine holds more committed operations, which fitness
+    evaluators use to prune degenerate rules.
 
     Jobs are released in (release time, job) order, read from the release
     column, and each release runs before any arrival or completion at the
@@ -483,8 +481,9 @@ def run_simulation(
             wiq[mch] -= pt
             busy[mch] = True
             busy_time[mch] += pt
-            mrt[mch] = t + pt
-            heappush(heap, (t + pt, seq_counter, mch, j, o, None))
+            # One float for mrt, the completion event and the trace's completion time.
+            mrt[mch] = done = t + pt
+            heappush(heap, (done, seq_counter, mch, j, o, None))
             seq_counter += 1
             if trace is not None:
                 trace.append((t, mch, job_ids[j], o - op_start[j], "start"))

@@ -514,6 +514,22 @@ class TestEvolve:
         assert main(base + ["--scenario", "ghost"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("training, test, role", [(1, 3, "training"), (3, 1, "held-out")])
+    def test_zero_reference_objective_names_its_seed_exit_2(self, tmp_path, capsys, training, test, role):
+        """With loose due dates at 0.3 load, WIQ/PT's Tmean is 0.0 on seed 1 (6.4 on seed 3)."""
+        config = tmp_path / "zero.yaml"
+        config.write_text(
+            TINY_YAML.replace("warmup_jobs: 4", "warmup_jobs: 4\n  due_date_factor: 3").replace(
+                "tiny: {objectives: [Fmean], lambdas: [1.0], utilization: 0.85, training_seeds: [1], test_seeds: [2]}",
+                "tiny: {objectives: [Tmean, Fmean], lambdas: [0.5, 0.5], utilization: 0.3, "
+                f"training_seeds: [{training}], test_seeds: [{test}]}}",
+            )
+        )
+        assert main(["evolve", "--config", str(config), "--seed", "1", "--out", str(tmp_path / "r")]) == 2
+        assert (
+            "config error: scenario tiny, " + role + " seed 1: reference value for Tmean is zero; cannot normalize"
+        ) in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "text, fragment",
         [("sim: 3\n", "sim: expected a mapping"), ("scenarios: [1]\n", "scenarios: expected a mapping")],

@@ -995,13 +995,17 @@ class TestEngineProperties:
         _assert_choices_are_argmins(rules, out)
 
     def test_recording_memory_per_candidate(self):
-        """A recording keeps at most 200 bytes per scored candidate.
+        """A recording keeps at most 110 bytes per scored candidate.
 
-        A decision's shared values are stored once, in its head; a
-        candidate keeps the head and its own values.  Storing all 13
+        A candidate keeps only what the instance cannot give back: its
+        decision's head, and the live machine state of a routing
+        candidate or the queue entry of a queued operation; the other
+        terminals are recomputed from the instance.  Storing each
+        decision's shared terminals once in the head and a candidate's
+        own terminals beside it keeps about 136 bytes, and all 13
         terminals per candidate, in a context beside an entry tuple,
-        keeps about 270 bytes.  A warm-up recording fills the compile
-        cache first, so only what the run keeps is counted.
+        about 270.  A warm-up recording fills the compile cache first,
+        so only what the run keeps is counted.
         """
         rules = RulePair.from_text("WIQ + PT", "PT")
         inst = generate_instance(SimConfig(total_jobs=300, warmup_jobs=30), seed=31)
@@ -1014,7 +1018,7 @@ class TestEngineProperties:
         finally:
             tracemalloc.stop()
         assert len(out.contexts) > 10_000
-        assert kept / len(out.contexts) <= 200
+        assert kept / len(out.contexts) <= 110
 
     @settings(max_examples=100, deadline=None)
     @given(
